@@ -34,6 +34,7 @@ class DigitModel:
         # bv_symbols[level] maps a symbol to (src_digit, dst_digit); level 1
         # symbols carry src None.  None for a plain odometer.
         self.bv_symbols = bv_symbols
+        self._caps = [1]  # _caps[d] == cap(d), extended on demand
 
     # -- radix arithmetic ---------------------------------------------------
 
@@ -43,10 +44,10 @@ class DigitModel:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def cap(self, depth: int) -> int:
-        out = 1
-        for i in range(depth):
-            out *= self.size(i)
-        return out
+        caps = self._caps
+        while len(caps) <= depth:
+            caps.append(caps[-1] * self.size(len(caps) - 1))
+        return caps[depth]
 
     def value(self, digits) -> int:
         v, mult = 0, 1

@@ -6,13 +6,17 @@ Run from the repository root (the library is imported from ./src; no build
 step). Workloads are described in BENCHMARK.json and workloads.py.
 
 A run:
-1. sets up at least SETUP_REPS times, and for at least SETUP_MIN_S (fresh
-   import of cantordyn, descriptor loading, tower levels and other state the
-   queries reuse), and reports the median;
-2. runs whole rounds of seeded queries, one at a time, until `--seconds` of
-   query time and at least MIN_QUERIES queries have passed; only the queries
-   themselves are timed, and every output is checked against the
-   independent models of model.py between rounds;
+1. sets up at least SETUP_REPS times, and for at least SETUP_MIN_S unless
+   SETUP_MAX_REPS set-ups are done (fresh import of cantordyn, descriptor
+   loading, tower levels and other state the queries reuse), and reports the
+   median;
+2. runs the workload's fixed number of warm-up rounds, then whole rounds of
+   seeded queries, one at a time, until `--seconds` of query time and at
+   least MIN_QUERIES queries have passed; only the queries themselves are
+   timed, and every output (warm-up included) is checked against the
+   independent models of model.py between rounds. Throughput is the median
+   over the timed rounds of each round's queries per second, so that a
+   stretch of the run on a slowed-down host moves it less than a mean would;
 3. repeats the first rounds on a fresh set-up and requires byte-identical
    output, and prints the SHA-256 digest of those rounds;
 4. with --trace 1, sets up again and replays the first `trace_rounds`
@@ -44,7 +48,7 @@ from workloads import ROOT, WORKLOADS, Oracle
 
 SETUP_REPS = 3  # at least; more while SETUP_MIN_S has not passed
 SETUP_MIN_S = 2.0
-SETUP_MAX_REPS = 25
+SETUP_MAX_REPS = 11  # so that a fast set-up does not lengthen the run
 MIN_QUERIES = 1000  # so that ten samples lie beyond the 99th percentile
 # the kernel backend the library never calls, and its benchmark
 FORBIDDEN_MODULES = ("cantordyn.kernels", "cantordyn._maskcore", "cantordyn._maskcore_py", "bench_kernels")
@@ -77,6 +81,7 @@ class Phase:
         self.failed = 0
         self.problems = []
         self.round_s = []
+        self.round_queries = []
         self.round_texts = []
         self.counts = {}
 
@@ -85,6 +90,7 @@ class Phase:
         texts = []
         elapsed = 0.0
         outputs = []
+        n_before = len(self.latencies)
         for call in calls:
             t0 = time.perf_counter()
             try:
@@ -103,6 +109,7 @@ class Phase:
                 self.problems.append(f"{call!r:.160}: {error}")
         self.query_s += elapsed
         self.round_s.append(elapsed)
+        self.round_queries.append(len(self.latencies) - n_before)
         if len(self.round_texts) < self.keep_rounds:
             self.round_texts.append(texts)
         return outputs
@@ -156,6 +163,11 @@ def main(argv=None) -> int:
         setup_s.append(time.perf_counter() - t0)
 
     oracle = Oracle()
+    # a fixed number of rounds, so that the digested rounds repeat exactly
+    warmup = Phase(0)
+    for _ in range(workload.warmup_rounds):
+        calls = workload.chunk(rng, state)
+        warmup.check(workload, oracle, state, warmup.run_round(workload, state, calls))
     timed = Phase(workload.digest_rounds)
     rounds = []  # the first rounds' inputs, for the digest check and the traced replay
     while timed.query_s < args.seconds or len(timed.latencies) < MIN_QUERIES:
@@ -171,12 +183,12 @@ def main(argv=None) -> int:
     for calls in rounds[:n_digest]:
         rerun.run_round(workload, fresh, calls)
     out_digest = digest(timed.round_texts[:n_digest])
-    problems = list(timed.problems)
+    problems = warmup.problems + timed.problems
     if digest(rerun.round_texts) != out_digest:
         problems.append("the same inputs gave different output bytes on a fresh set-up")
 
     metrics = {}
-    attempted, failed = timed.attempted, timed.failed
+    attempted, failed = warmup.attempted + timed.attempted, warmup.failed + timed.failed
     if args.trace:
         # a fixed number of rounds, so that the traced counts repeat exactly
         n_replay = min(workload.trace_rounds, len(rounds))
@@ -212,7 +224,8 @@ def main(argv=None) -> int:
     else:
         lat = sorted(timed.latencies)
         metrics = {
-            "throughput_qps": {"value": len(lat) / timed.query_s, "unit": "1/s"},
+            "throughput_qps": {"value": statistics.median(
+                n / s for n, s in zip(timed.round_queries, timed.round_s)), "unit": "1/s"},
             "latency_p50_ms": {"value": statistics.median(lat) * 1e3, "unit": "ms"},
             "latency_p99_ms": {"value": percentile(lat, 0.99) * 1e3, "unit": "ms"},
             "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
@@ -225,13 +238,15 @@ def main(argv=None) -> int:
         problems.append(f"benchmark imported {loaded}")
 
     correct = not problems and failed == 0
-    print(f"workload {args.workload} seed {args.seed}: {len(timed.round_s)} rounds, "
-          f"{len(timed.latencies)} queries in {timed.query_s:.3f} s of query time")
+    print(f"workload {args.workload} seed {args.seed}: {workload.warmup_rounds} warm-up rounds, "
+          f"then {len(timed.round_s)} rounds, {len(timed.latencies)} queries "
+          f"in {timed.query_s:.3f} s of query time")
     print(f"failed_frac {failed / max(attempted, 1):.6f} ratio ({failed} of {attempted} queries)")
     print(f"digest sha256:{out_digest} (first {n_digest} rounds, "
           f"{sum(map(len, timed.round_texts[:n_digest]))} outputs)")
     print(f"setup_s reps: {' '.join(f'{s:.4f}' for s in setup_s)}")
-    for key, n in sorted(timed.counts.items()):
+    for key in sorted(warmup.counts.keys() | timed.counts.keys()):
+        n = warmup.counts.get(key, 0) + timed.counts.get(key, 0)
         print(f"oracle.{key} {n} count")
     for name, m in metrics.items():
         print(f"{name} {m['value']} {m['unit']}")
