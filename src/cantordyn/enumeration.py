@@ -501,8 +501,10 @@ def enum_tfg(sys: System, count: int, start: int = 0, dedup: bool = False,
              x0: Point | None = None, coder: TupleCoder | None = None):
     """Scan `count` codes from `start`, yielding (index, element).
 
-    A code whose pieces partition the space and whose images partition it
-    again yields that element; every other code yields the identity.  With
+    Pieces with equal powers are unioned first (PiecewisePower.make), so
+    raw pieces that share a power may overlap.  When the merged pieces
+    partition the space and their images partition it again, the code
+    yields that element; every other code yields the identity.  With
     dedup, repeated elements are skipped (the scan budget stays `count`).
     """
     if count < 1:

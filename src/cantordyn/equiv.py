@@ -47,26 +47,9 @@ class CountVector:
         return hash((self.level, self.counts))
 
 
-def _tower_floors(xi: KRPartition, a: Clopen) -> list[list[int]] | None:
-    """Floors of atoms inside a, per tower; None when a is not an atom union."""
-    floors = []
-    covered = 0
-    for t in xi.towers:
-        lst = []
-        for j, atom in enumerate(t.atoms):
-            if atom.is_subset(a):
-                lst.append(j)
-                covered += len(atom.refined_words(max(atom.depth, a.depth)))
-        floors.append(lst)
-    total = len(a.refined_words(max(a.depth, xi.max_depth())))
-    if covered != total:
-        return None
-    return floors
-
-
 def count_vector(xi: KRPartition, a: Clopen) -> CountVector:
     """Per-tower counts of atoms inside a; error when a is not an atom union."""
-    floors = _tower_floors(xi, a)
+    floors = xi.floors_inside(a)
     if floors is None:
         raise InputFormatError(
             f"clopen {a.render()} is not a union of level-{xi.level} atoms"
@@ -130,8 +113,8 @@ def orbit_decide(seq: KRSequence, a: Clopen, b: Clopen, max_level: int) -> Orbit
             return OrbitStatus("distinct", measures=(ma, mb))
     for n in range(1, max_level + 1):
         xi = seq.level(n)
-        floors_a = _tower_floors(xi, a)
-        floors_b = _tower_floors(xi, b)
+        floors_a = xi.floors_inside(a)
+        floors_b = xi.floors_inside(b)
         if floors_a is None or floors_b is None:
             continue
         if [len(f) for f in floors_a] == [len(f) for f in floors_b]:
@@ -158,8 +141,8 @@ def base_point_witness(
     if seq1.sys.signature() != seq2.sys.signature():
         raise InputFormatError("sequences live over different presentations")
     xi1 = seq1.level(level)
-    floors_a = _tower_floors(xi1, a)
-    floors_b = _tower_floors(xi1, b)
+    floors_a = xi1.floors_inside(a)
+    floors_b = xi1.floors_inside(b)
     if floors_a is None or floors_b is None or [len(f) for f in floors_a] != [
         len(f) for f in floors_b
     ]:
@@ -174,8 +157,8 @@ def base_point_witness(
         base = xi2.base_union()
         if not any(base.is_subset(atom) for atom in atoms1):
             continue
-        fa = _tower_floors(xi2, a)
-        fb = _tower_floors(xi2, b)
+        fa = xi2.floors_inside(a)
+        fb = xi2.floors_inside(b)
         if fa is None or fb is None:
             continue
         if [len(f) for f in fa] != [len(f) for f in fb]:

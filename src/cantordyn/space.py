@@ -33,13 +33,6 @@ class SpacePresentation(ABC):
     def size_bound(self, depth: int) -> int:
         """Alphabet size at a level (max symbol + 1), for literal rendering."""
 
-    def is_admissible(self, word) -> bool:
-        w = tuple(word)
-        for i in range(len(w)):
-            if w[i] not in self.next_symbols(w[:i]):
-                return False
-        return True
-
     def point_probe(self, head_len: int, tail_len: int) -> int:
         """Depth to expand when validating an eventually periodic point."""
         return head_len + 2 * tail_len + 8

@@ -721,28 +721,3 @@ def system_from_file(path: str) -> System:
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return load_system(obj)
-
-
-def stationary_bv(matrix, check_order: bool = True) -> BVSystem:
-    """Stationary diagram from a square incidence matrix.
-
-    matrix[u][v] = number of edges from level vertex u to next-level vertex v.
-    Incoming edges are ordered by source index.  A single top level connects
-    the root to every vertex by one edge.  check_order=False admits diagrams
-    without unique extremal paths, for evidence reporting only.
-    """
-    n = len(matrix)
-    vertices = [n, n]
-    edges = []
-    for v in range(n):
-        edges.append([0, 1 + v, 0])
-    # level 2: repeatable pattern
-    incoming_count = [0] * n
-    for u in range(n):
-        for v in range(n):
-            for _ in range(matrix[u][v]):
-                edges.append([1 + u, 1 + n + v, incoming_count[v]])
-                incoming_count[v] += 1
-    if any(c == 0 for c in incoming_count):
-        raise InputFormatError("stationary matrix leaves a vertex with no incoming edge")
-    return BVSystem(BVDiagram(vertices, edges, 2), check_order=check_order)

@@ -68,15 +68,6 @@ class KRPartition:
     def max_depth(self) -> int:
         return max(a.depth for _, _, a in self.all_atoms())
 
-    def atom_words(self) -> dict:
-        """Map from refined word (at the common depth) to (tower, floor)."""
-        depth = self.max_depth()
-        out = {}
-        for i, j, a in self.all_atoms():
-            for w in a.refined_words(depth):
-                out[w] = (i, j)
-        return out
-
     def base_union(self) -> Clopen:
         out = Clopen.empty(self.space)
         for t in self.towers:
@@ -89,22 +80,30 @@ class KRPartition:
             out = out.union(t.atoms[-1])
         return out
 
+    def floors_inside(self, a: Clopen) -> list[list[int]] | None:
+        """Floors of the atoms inside a, per tower; None when a is not an atom union.
+
+        Everything is refined once to the common depth of a and the atoms, so
+        an atom is inside a iff its words are a subset of a's words, and a is
+        a union of atoms iff the inside atoms' words add up to all of a's.
+        """
+        depth = max(a.depth, self.max_depth())
+        words = a.refined_words(depth)
+        floors = []
+        covered = 0
+        for t in self.towers:
+            inside = []
+            for j, atom in enumerate(t.atoms):
+                atom_words = atom.refined_words(depth)
+                if atom_words <= words:
+                    inside.append(j)
+                    covered += len(atom_words)
+            floors.append(inside)
+        return floors if covered == len(words) else None
+
     def contains_clopen(self, a: Clopen) -> bool:
         """Whether a is a union of atoms of this partition."""
-        if a.is_empty():
-            return True
-        depth = max(self.max_depth(), a.depth)
-        words = a.refined_words(depth)
-        table = {}
-        for i, j, atom in self.all_atoms():
-            for w in atom.refined_words(depth):
-                table[w] = (i, j)
-        hit_atoms = {table[w] for w in words if w in table}
-        if len(words) != sum(
-            len(self.atom(i, j).refined_words(depth)) for i, j in hit_atoms
-        ):
-            return False
-        return all(w in table for w in words)
+        return self.floors_inside(a) is not None
 
     def validate(self, sys: System) -> None:
         """Assert the partition and floor-map structure; raises on failure."""

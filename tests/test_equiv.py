@@ -12,10 +12,12 @@ from cantordyn import (
     BVDiagram,
     BVSystem,
     Clopen,
+    KRPartition,
     Odometer,
     PartialIso,
     PiecewisePower,
     Stuck,
+    Tower,
     TowerPermutation,
     count_vector,
     base_point_witness,
@@ -69,6 +71,17 @@ def test_count_vector_rejects_non_union():
     seq = kr_sequence(o2, levels=1)
     with pytest.raises(InputFormatError):
         count_vector(seq.level(1), Clopen.parse(o2.space, "01"))
+
+
+def test_count_vector_mixed_depth_atoms():
+    # atoms of depths 1 and 2: each half is a union of atoms
+    atoms = [Clopen.parse(o2.space, lit) for lit in ("0", "10", "11")]
+    xi = KRPartition(0, [Tower([atom]) for atom in atoms], o2.space)
+    xi.validate(o2)
+    zero, one = Clopen.parse(o2.space, "0"), Clopen.parse(o2.space, "1")
+    assert xi.contains_clopen(zero)
+    assert count_vector(xi, zero).counts == (1, 0, 0)
+    assert count_vector(xi, one).counts == (0, 1, 1)
 
 
 def test_count_vector_additive_on_disjoint():

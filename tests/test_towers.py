@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
     BVDiagram,
@@ -14,6 +16,7 @@ from cantordyn import (
     KRPartition,
     Odometer,
     Point,
+    Tower,
     atom_at,
     count_vector,
     invariant_measure,
@@ -168,6 +171,66 @@ def test_refine_random_targets_become_visible():
         xi2 = refine_with_clopen(sys_, xi, a)
         assert xi2.contains_clopen(a)
         check_kr_validity(sys_, xi2)
+
+
+# ---------------------------------------------------------------- atom unions
+
+@functools.cache
+def atom_union_partitions() -> list:
+    bv = bv_stationary_11()
+    seqs = [
+        kr_sequence(o2, levels=3),
+        kr_sequence(o3, levels=3),
+        kr_sequence(Odometer((), (2, 3)), levels=3),
+        kr_sequence(bv, levels=3),
+        # a shifted base point takes the generic first-return towers
+        kr_sequence(bv, bv.image_point(bv.min_point(), 1), levels=3),
+    ]
+    parts = [seq.level(n) for seq in seqs for n in (1, 2, 3)]
+    # atoms of depths 1 and 2
+    mixed = [Clopen.parse(o2.space, lit) for lit in ("0", "10", "11")]
+    parts.append(KRPartition(0, [Tower([atom]) for atom in mixed], o2.space))
+    return parts
+
+
+def brute_floors_inside(xi: KRPartition, a: Clopen):
+    """Reference atom-union test: one subset test per atom, then a union."""
+    floors = [[j for j, atom in enumerate(t.atoms) if atom.is_subset(a)] for t in xi.towers]
+    union = Clopen.empty(xi.space)
+    for t, inside in zip(xi.towers, floors):
+        for j in inside:
+            union = union.union(t.atoms[j])
+    return floors if union == a else None
+
+
+@st.composite
+def partitions_and_clopens(draw):
+    """A partition, a random union of its atoms and a random clopen."""
+    xi = draw(st.sampled_from(atom_union_partitions()))
+    chosen = [[draw(st.booleans()) for _ in t.atoms] for t in xi.towers]
+    union = Clopen.empty(xi.space)
+    for t, picks in zip(xi.towers, chosen):
+        for atom, pick in zip(t.atoms, picks):
+            if pick:
+                union = union.union(atom)
+    floors = [[j for j, pick in enumerate(picks) if pick] for picks in chosen]
+    depth = draw(st.integers(0, xi.max_depth() + 1))
+    words = xi.space.words_at_depth(depth)
+    picks = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+    clopen = Clopen.make(xi.space, depth, [w for w, pick in zip(words, picks) if pick])
+    return xi, union, floors, clopen
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions_and_clopens())
+def test_floors_inside_matches_brute_force(case):
+    xi, union, floors, clopen = case
+    assert xi.floors_inside(union) == floors
+    assert brute_floors_inside(xi, union) == floors
+    assert xi.contains_clopen(union)
+    expected = brute_floors_inside(xi, clopen)
+    assert xi.floors_inside(clopen) == expected
+    assert xi.contains_clopen(clopen) == (expected is not None)
 
 
 # ---------------------------------------------------------------- sequences
