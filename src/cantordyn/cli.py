@@ -27,7 +27,6 @@ from .fullgroup import (
     in_commutator,
     involution_in,
     membership_gamma,
-    validate_piecewise,
 )
 from .space import Clopen, Point
 from .systems import System, system_from_file
@@ -124,21 +123,10 @@ def _cmd_group(args, out) -> int:
     sys_ = system_from_file(args.system)
     seq = kr_sequence(sys_, levels=1)
     if args.group_cmd == "validate":
-        with open(args.element, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         try:
-            if isinstance(data, dict) and "perms" in data:
-                tp = TowerPermutation.from_json(data)
-                el = gamma_element(sys_, seq.level(tp.level), tp)
-            else:
-                try:
-                    pieces = [
-                        (Clopen.parse(sys_.space, p["domain"]), int(p["power"]))
-                        for p in data["pieces"]
-                    ]
-                except (KeyError, TypeError) as exc:
-                    raise InputFormatError(f"bad piecewise data: {exc}") from exc
-                el = validate_piecewise(sys_, pieces)
+            el = _load_element(sys_, args.element)
+            if isinstance(el, TowerPermutation):
+                el = gamma_element(sys_, seq.level(el.level), el)
         except PiecewiseValidationError as exc:
             payload = {"verdict": "Invalid", "reason": str(exc)}
             _emit_json(out, payload) if args.json else _emit(

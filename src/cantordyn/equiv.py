@@ -354,14 +354,6 @@ def soe_decide(sys1: System, sys2: System) -> SOEVerdict:
     return SOEVerdict(True)
 
 
-def _measure_realizable(q: Fraction, vals) -> bool:
-    """Whether the denominator divides some finite partial product."""
-    for p, e in _factor(q.denominator).items():
-        if vals.get(p, 0) < e:
-            return False
-    return True
-
-
 class Rung:
     """One back-and-forth extension step.
 

@@ -95,10 +95,6 @@ class TowerPermutation:
         for i, p in enumerate(self.perms):
             _check_perm(p, len(p), f"tower {i}")
 
-    @staticmethod
-    def identity_like(xi: KRPartition) -> "TowerPermutation":
-        return TowerPermutation(xi.level, [tuple(range(t.height)) for t in xi.towers])
-
     def validate_against(self, xi: KRPartition) -> None:
         if self.level != xi.level:
             raise InputFormatError(

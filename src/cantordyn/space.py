@@ -33,6 +33,10 @@ class SpacePresentation(ABC):
     def size_bound(self, depth: int) -> int:
         """Alphabet size at a level (max symbol + 1), for literal rendering."""
 
+    @abstractmethod
+    def max_size_bound(self) -> int:
+        """Largest alphabet size over all levels."""
+
     def point_probe(self, head_len: int, tail_len: int) -> int:
         """Depth to expand when validating an eventually periodic point."""
         return head_len + 2 * tail_len + 8
@@ -46,10 +50,7 @@ class SpacePresentation(ABC):
 
     def words_at_depth(self, depth: int) -> list[tuple]:
         """All admissible words of a depth, in lexicographic order."""
-        words = [()]
-        for _ in range(depth):
-            words = [w + (s,) for w in words for s in self.next_symbols(w)]
-        return words
+        return self.extensions((), depth)
 
     def extensions(self, word: tuple, depth: int) -> list[tuple]:
         """All admissible extensions of word to the given total depth."""
@@ -66,14 +67,10 @@ class SpacePresentation(ABC):
         return ".".join(str(s) for s in word)
 
     def parse_word(self, text: str) -> tuple:
-        if "." in text:
-            parts = text.split(".")
-            word = tuple(int(p) for p in parts if p != "")
-        else:
-            if not all(c.isdigit() for c in text):
-                raise InputFormatError(f"bad word literal {text!r}")
-            word = tuple(int(c) for c in text)
-        return self.check_word(word)
+        parts = [p for p in text.split(".") if p != ""] if "." in text else text
+        if not all(p.isdecimal() for p in parts):
+            raise InputFormatError(f"bad word literal {text!r}")
+        return self.check_word(tuple(int(p) for p in parts))
 
 
 class ProductSpace(SpacePresentation):
@@ -99,6 +96,9 @@ class ProductSpace(SpacePresentation):
 
     def size_bound(self, depth: int) -> int:
         return self.size_at(depth)
+
+    def max_size_bound(self) -> int:
+        return max(self.prefix + self.period)
 
     def next_symbols(self, word: tuple) -> tuple:
         return tuple(range(self.size_at(len(word))))
@@ -130,7 +130,14 @@ def _check_same_space(a, b) -> None:
 
 
 class Point:
-    """Eventually periodic point: head followed by tail repeated forever."""
+    """Eventually periodic point: head followed by tail repeated forever.
+
+    Literals are 'head.tail' with one digit per symbol (`01.1`, `.0`), or
+    'head:tail' with comma-separated symbols (`10:11`, `:0,11`).  On a space
+    with an alphabet of more than 10 symbols a dotted literal whose head or
+    tail is a run of several digits reads two ways and is rejected; render
+    uses the colon form there.
+    """
 
     __slots__ = ("space", "head", "tail")
 
@@ -181,15 +188,30 @@ class Point:
         return f"Point({self.space.render_word(self.head)!r}.{self.space.render_word(self.tail)!r}*)"
 
     def render(self) -> str:
+        if self.space.max_size_bound() > 10:
+            return f"{','.join(map(str, self.head))}:{','.join(map(str, self.tail))}"
         return f"{self.space.render_word(self.head)}.{self.space.render_word(self.tail)}"
 
     @staticmethod
     def parse(space: SpacePresentation, text: str) -> "Point":
+        if ":" in text:
+            head_txt, tail_txt = text.split(":", 1)
+            head = tuple(head_txt.split(",")) if head_txt else ()
+            tail = tuple(tail_txt.split(","))
+            if not all(s.isdecimal() for s in head + tail):
+                raise InputFormatError(f"bad point literal {text!r}")
+            return Point(space, map(int, head), map(int, tail))
         if "." not in text:
             raise InputFormatError(f"point literal needs 'head.period' form, got {text!r}")
         head_txt, tail_txt = text.rsplit(".", 1)
+        runs = [tail_txt] if "." in head_txt else [head_txt, tail_txt]
+        if space.max_size_bound() > 10 and any(len(r) > 1 and r.isdecimal() for r in runs):
+            raise InputFormatError(
+                f"ambiguous point literal {text!r}: over alphabets of more than 10 "
+                "symbols write 'head:tail' with comma-separated symbols"
+            )
         head = space.parse_word(head_txt) if head_txt else ()
-        tail_raw = tuple(int(c) for c in tail_txt) if tail_txt.isdigit() else None
+        tail_raw = tuple(int(c) for c in tail_txt) if tail_txt.isdecimal() else None
         if tail_raw is None or not tail_raw:
             raise InputFormatError(f"bad point period in {text!r}")
         return Point(space, head, tail_raw)

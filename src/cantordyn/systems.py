@@ -302,7 +302,7 @@ class BVDiagram:
         return self.level_edges(level)[sym]
 
     def indegree(self, level: int, v_local: int) -> int:
-        return sum(1 for _, dst, _ in self.level_edges(level) if dst == v_local)
+        return len(self.incoming(level, v_local))
 
     def is_max_edge(self, level: int, sym: int) -> bool:
         src, dst, order = self.edge(level, sym)
@@ -347,17 +347,6 @@ class PathSpace(SpacePresentation):
     def signature(self) -> tuple:
         return self._sig
 
-    def terminal_vertex(self, word: tuple) -> int:
-        v = 0
-        for i, sym in enumerate(word):
-            src, dst, _ = self.diagram.edge(i + 1, sym)
-            if src != v:
-                from .errors import InadmissibleWordError
-
-                raise InadmissibleWordError(word, junction=i)
-            v = dst
-        return v
-
     def next_symbols(self, word: tuple) -> tuple:
         v = 0
         for i, sym in enumerate(word):
@@ -372,6 +361,10 @@ class PathSpace(SpacePresentation):
 
     def size_bound(self, depth: int) -> int:
         return len(self.diagram.level_edges(depth + 1))
+
+    def max_size_bound(self) -> int:
+        # levels past the described ones repeat described patterns
+        return max(self.size_bound(i) for i in range(self.diagram.described))
 
     def point_probe(self, head_len: int, tail_len: int) -> int:
         return head_len + 2 * math.lcm(tail_len, self.diagram.period_len) + tail_len

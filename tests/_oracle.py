@@ -1,7 +1,6 @@
-"""Pure-Python mask kernels.
+"""Brute-force mask oracle for the orbit tests.
 
-Reference implementation of the exhaustive permutation sweeps; also the
-import-time fallback when the compiled extension is unavailable.  The
+Reference implementation of the exhaustive permutation sweeps.  The
 half-mask tables below only speed up applying a permutation to a mask —
 every permutation is still applied to every mask.
 """

@@ -54,6 +54,10 @@ def test_group_validate_ok(tmp_path):
     code, text = invoke("group", "validate", ODO2, el, "--json")
     assert code == 0
     assert json.loads(text)["verdict"] == "Valid"
+    # the same swap given as a level-1 tower permutation
+    tp = write_json(tmp_path, "tp.json", {"level": 1, "perms": [[1, 0]]})
+    assert invoke("group", "validate", ODO2, tp, "--json") == (0, text)
+    assert invoke("group", "validate", ODO2, tp) == (0, "Valid\n")
 
 
 def test_group_validate_invalid(tmp_path):
@@ -68,6 +72,13 @@ def test_group_validate_garbage(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
     code, _ = invoke("group", "validate", ODO2, str(p))
+    assert code == 2
+    el = write_json(tmp_path, "nodomain.json", {"pieces": [{"power": 0}]})
+    assert invoke("group", "validate", ODO2, el) == (
+        2, "input error: bad piecewise data: 'domain'\n"
+    )
+    tp = write_json(tmp_path, "tp3.json", {"level": 1, "perms": [[2, 0, 1]]})
+    code, _ = invoke("group", "validate", ODO2, tp)
     assert code == 2
 
 
@@ -257,10 +268,20 @@ def test_byte_identical_reruns():
         assert first == second
 
 
-def test_input_errors_exit_two():
+def test_input_errors_exit_two(tmp_path):
     code, _ = invoke("nosuchcommand")
     assert code == 2
     code, _ = invoke("towers", "descriptors/missing.json")
     assert code == 2
     code, _ = invoke("orbit", "decide", ODO2, "--a", "7", "--b", "1")
+    assert code == 2
+    # digits that int() does not read are malformed literals, not crashes
+    for lit in ("\u00b2", "1.\u00b2", "1.x"):
+        code, text = invoke("orbit", "decide", ODO2, "--a", lit, "--b", "1")
+        assert code == 2 and "bad word literal" in text
+    # tail 1, 1 or tail 11: an ambiguous base point is an input error
+    el = write_json(tmp_path, "id.json", {"pieces": [{"domain": "X", "power": 0}]})
+    code, text = invoke("group", "member", f"{DESC}/odo12.json", el, "--x0", "0.11")
+    assert code == 2 and "'0.11'" in text
+    code, _ = invoke("group", "member", ODO2, el, "--x0", "0.\u00b2")
     assert code == 2

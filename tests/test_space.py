@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from cantordyn.errors import InadmissibleWordError, SpaceMismatchError
+from cantordyn.errors import InadmissibleWordError, InputFormatError, SpaceMismatchError
 from cantordyn.space import (
     Clopen,
     Point,
@@ -21,6 +22,8 @@ o2 = Odometer((), (2,))
 o3 = Odometer((), (3,))
 SP2 = o2.space
 SP3 = o3.space
+SP12 = Odometer((), (12,)).space
+SP2_12 = ProductSpace((2,), (12,))
 
 
 def random_clopen(space, rng, max_depth=6) -> Clopen:
@@ -206,6 +209,45 @@ def test_point_literal_round_trip():
     assert Point.parse(SP2, x.render()) == x
     zero = Point(SP2, (), (0,))
     assert Point.parse(SP2, zero.render()) == zero
+    # alphabets above 10: symbols 10 and 11 must not split into digits
+    for space, head, tail in (
+        (SP12, (10,), (11,)),
+        (SP12, (1, 0), (1, 1, 0)),
+        (SP12, (), (0, 11)),
+        (SP2_12, (0,), (11,)),
+        (SP2_12, (1, 10), (0, 11)),
+        (SP2_12, (), (1,)),
+    ):
+        p = Point(space, head, tail)
+        assert Point.parse(space, p.render()) == p
+
+
+def test_point_literal_narrow_alphabets_unchanged():
+    assert Point.parse(SP2, "0.1") == Point(SP2, (0,), (1,))
+    assert Point.parse(SP2, ".0") == Point(SP2, (), (0,))
+    assert Point.parse(SP3, "01.12") == Point(SP3, (0, 1), (1, 2))
+    assert Point.parse(SP3, "0.1.2") == Point(SP3, (0, 1), (2,))
+    assert Point(SP3, (0, 1), (1, 2)).render() == "01.12"
+    # the colon form is accepted on every space
+    assert Point.parse(SP3, "0,1:1,2") == Point(SP3, (0, 1), (1, 2))
+
+
+def test_point_literal_ambiguity_rejected():
+    for space, text in (
+        (SP12, "0.11"),
+        (SP12, "10.1"),
+        (SP12, "10.3.11"),
+        (SP2_12, "1.10"),
+    ):
+        with pytest.raises(InputFormatError, match=re.escape(repr(text))):
+            Point.parse(space, text)
+    # single-digit runs read one way only
+    assert Point.parse(SP12, "0.1") == Point(SP12, (0,), (1,))
+    assert Point.parse(SP12, "10.3.5") == Point(SP12, (10, 3), (5,))
+    assert Point.parse(SP12, "0:11") == Point(SP12, (0,), (11,))
+    for text in ("x:1", ":", "1:", "1:2:3", "-1:0"):
+        with pytest.raises(InputFormatError):
+            Point.parse(SP12, text)
 
 
 # -- canonical cylinder enumeration ---------------------------------------------
