@@ -14,7 +14,7 @@ from .errors import (
     PiecewiseValidationError,
     SpaceMismatchError,
 )
-from .space import Clopen, Point
+from .space import Clopen, Point, _check_same_space
 from .systems import System
 from .towers import KRPartition, KRSequence, StackingMap, atom_at
 
@@ -159,6 +159,55 @@ def _zigzag(k: int) -> int:
     return 2 * k - 1 if k > 0 else -2 * k
 
 
+def _union(space, clopens) -> Clopen:
+    """Union of clopens, each refined once to their deepest depth."""
+    if len(clopens) == 1:
+        return clopens[0]
+    d = max((c.depth for c in clopens), default=0)
+    words = set()
+    for c in clopens:
+        words |= c.refined_words(d)
+    return Clopen.make(space, d, words)
+
+
+def _split(table: tuple[int, dict], a: Clopen) -> tuple[int, dict]:
+    """The words of a at depth max(a.depth, top), grouped by power.
+
+    table is PiecewisePower._power_table(): top and the power of each
+    depth-top domain word.  Words outside every domain go under None.
+    """
+    top, power_of = table
+    d = max(a.depth, top)
+    groups: dict = {}
+    for w in a.refined_words(d):
+        groups.setdefault(power_of.get(w[:top]), set()).add(w)
+    return d, groups
+
+
+def _check_partition(space, parts, what: str) -> None:
+    """Raise unless the clopens of parts, (clopen, power) pairs, partition space.
+
+    Every part is refined once to the deepest depth among them.  The witness
+    is the first part's overlap with the parts before it, else the uncovered
+    rest of the space.
+    """
+    d = max((c.depth for c, _ in parts), default=0)
+    seen: set = set()
+    for c, k in parts:
+        words = c.refined_words(d)
+        if not seen.isdisjoint(words):
+            raise PiecewiseValidationError(
+                f"{what} overlap near power {k}",
+                witness=Clopen.make(space, d, seen & words),
+            )
+        seen |= words
+    if len(seen) != space.word_count(d):
+        raise PiecewiseValidationError(
+            f"{what} do not cover the space",
+            witness=Clopen.make(space, d, set(space.words_at_depth(d)) - seen),
+        )
+
+
 class PiecewisePower:
     """Homeomorphism equal to a fixed power of the map on each clopen piece.
 
@@ -180,17 +229,13 @@ class PiecewisePower:
         for dom, k in pieces:
             if dom.space.signature() != sys.space.signature():
                 raise SpaceMismatchError("piece domain lives over a different space")
-            k = int(k)
-            if k in by_power:
-                by_power[k] = by_power[k].union(dom)
-            else:
-                by_power[k] = dom
-        merged = tuple(
-            (by_power[k], k)
-            for k in sorted(by_power, key=_zigzag)
-            if not by_power[k].is_empty()
-        )
-        el = PiecewisePower(sys, merged, _canonical=True)
+            by_power.setdefault(int(k), []).append(dom)
+        merged = []
+        for k in sorted(by_power, key=_zigzag):
+            dom = _union(sys.space, by_power[k])
+            if not dom.is_empty():
+                merged.append((dom, k))
+        el = PiecewisePower(sys, tuple(merged), _canonical=True)
         if validate:
             el._validate()
         return el
@@ -203,31 +248,17 @@ class PiecewisePower:
 
     def _validate(self) -> None:
         space = self.sys.space
-        dom_union = Clopen.empty(space)
+        _check_partition(space, self.pieces, "domains")
+        images = [(self.sys.image_clopen(dom, k), k) for dom, k in self.pieces]
+        _check_partition(space, images, "images")
+
+    def _power_table(self) -> tuple[int, dict]:
+        """Every domain word at the deepest domain depth, mapped to its power."""
+        top = max((dom.depth for dom, _ in self.pieces), default=0)
+        power_of = {}
         for dom, k in self.pieces:
-            overlap = dom_union.intersection(dom)
-            if not overlap.is_empty():
-                raise PiecewiseValidationError(
-                    f"domains overlap near power {k}", witness=overlap
-                )
-            dom_union = dom_union.union(dom)
-        if not dom_union.is_full():
-            raise PiecewiseValidationError(
-                "domains do not cover the space", witness=dom_union.complement()
-            )
-        img_union = Clopen.empty(space)
-        for dom, k in self.pieces:
-            img = self.sys.image_clopen(dom, k)
-            overlap = img_union.intersection(img)
-            if not overlap.is_empty():
-                raise PiecewiseValidationError(
-                    f"images overlap near power {k}", witness=overlap
-                )
-            img_union = img_union.union(img)
-        if not img_union.is_full():
-            raise PiecewiseValidationError(
-                "images do not cover the space", witness=img_union.complement()
-            )
+            power_of.update(dict.fromkeys(dom.refined_words(top), k))
+        return top, power_of
 
     # -- action -------------------------------------------------------------
 
@@ -241,27 +272,36 @@ class PiecewisePower:
         return self.sys.image_point(x, self.cocycle_at(x))
 
     def image_of(self, a: Clopen) -> Clopen:
-        out = Clopen.empty(self.sys.space)
-        for dom, k in self.pieces:
-            part = a.intersection(dom)
-            if not part.is_empty():
-                out = out.union(self.sys.image_clopen(part, k))
-        return out
+        _check_same_space(a, self.sys)
+        space = self.sys.space
+        d, groups = _split(self._power_table(), a)
+        images = [
+            self.sys.image_clopen(Clopen.make(space, d, ws), k)
+            for k, ws in groups.items()
+            if k is not None
+        ]
+        return _union(space, images)
 
     # -- group structure ------------------------------------------------------
 
     def compose(self, other: "PiecewisePower") -> "PiecewisePower":
-        """self after other."""
+        """self after other; self's domains must be disjoint."""
         if self.sys is not other.sys and (
             self.sys.signature() != other.sys.signature()
         ):
             raise SpaceMismatchError("composition across different systems")
+        space = self.sys.space
+        table = self._power_table()
         pieces = []
         for dom_g, l in other.pieces:
-            shifted = self.sys.image_clopen(dom_g, l)
-            for dom_f, k in self.pieces:
-                hit = shifted.intersection(dom_f)
-                if not hit.is_empty():
+            d, groups = _split(table, self.sys.image_clopen(dom_g, l))
+            if len(groups) == 1 and None not in groups:
+                # dom_g lands inside one domain of self
+                pieces.append((dom_g, next(iter(groups)) + l))
+                continue
+            for k, ws in groups.items():
+                if k is not None:
+                    hit = Clopen.make(space, d, ws)
                     pieces.append((self.sys.image_clopen(hit, -l), k + l))
         return PiecewisePower.make(self.sys, pieces, validate=False)
 
@@ -270,11 +310,7 @@ class PiecewisePower:
         return PiecewisePower.make(self.sys, pieces, validate=False)
 
     def support(self) -> Clopen:
-        out = Clopen.empty(self.sys.space)
-        for dom, k in self.pieces:
-            if k != 0:
-                out = out.union(dom)
-        return out
+        return _union(self.sys.space, [dom for dom, k in self.pieces if k != 0])
 
     def is_identity(self) -> bool:
         return all(k == 0 for _, k in self.pieces)

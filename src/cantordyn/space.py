@@ -67,10 +67,33 @@ class SpacePresentation(ABC):
         return ".".join(str(s) for s in word)
 
     def parse_word(self, text: str) -> tuple:
+        """Inverse of render_word.
+
+        A dotless run of several digits is one symbol per digit when every
+        level it spans has at most 10 symbols, which is how render_word
+        writes it.  Otherwise it is one symbol, as render_word writes a
+        one-symbol word, unless only the per-digit reading is admissible or
+        the run has a leading zero.
+        """
         parts = [p for p in text.split(".") if p != ""] if "." in text else text
         if not all(p.isdecimal() for p in parts):
             raise InputFormatError(f"bad word literal {text!r}")
-        return self.check_word(tuple(int(p) for p in parts))
+        word = tuple(int(p) for p in parts)
+        if (
+            parts is text
+            and len(word) > 1
+            and text[0] != "0"
+            and self.max_size_bound() > 10
+            and any(self.size_bound(i) > 10 for i in range(len(word)))
+        ):
+            try:
+                return self.check_word((int(text),))
+            except InadmissibleWordError as exc:
+                try:
+                    return self.check_word(word)
+                except InadmissibleWordError:
+                    raise exc from None
+        return self.check_word(word)
 
 
 class ProductSpace(SpacePresentation):

@@ -6,8 +6,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracle import (
+    reference_compose,
+    reference_image_of,
+    reference_inverse,
+    reference_make,
+    reference_support,
+)
 from cantordyn import (
+    BVDiagram,
+    BVSystem,
     Clopen,
     Odometer,
     PiecewisePower,
@@ -30,6 +40,10 @@ from cantordyn.errors import InputFormatError, PiecewiseValidationError
 
 o2 = Odometer((), (2,))
 o3 = Odometer((), (3,))
+o23 = Odometer((), (2, 3))
+bv11 = BVSystem(
+    BVDiagram([2, 2], [(0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 1), (1, 4, 0), (2, 4, 1)], 2)
+)
 
 
 def swap_level1(sys_) -> TowerPermutation:
@@ -188,6 +202,93 @@ def test_json_round_trip():
     for _ in range(8):
         g = gamma_element(o3, seq.level(2), random_tower_perm(seq, 2, rng))
         assert PiecewisePower.from_json(o3, g.to_json()) == g
+
+
+# ---------------------------------------------------------------- against the running union
+
+SEQS = {sys_: kr_sequence(sys_, levels=3) for sys_ in (o2, o3, o23, bv11)}
+
+
+@st.composite
+def clopens(draw, space, max_depth: int = 3) -> Clopen:
+    d = draw(st.integers(0, max_depth))
+    words = space.words_at_depth(d)
+    picks = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+    return Clopen.make(space, d, [w for w, pick in zip(words, picks) if pick])
+
+
+@st.composite
+def piece_lists(draw, sys_):
+    """Domains that partition, leave a gap or overlap, with powers in [-3, 3].
+
+    Random powers make many partitions image-overlapping.
+    """
+    space = sys_.space
+    d = draw(st.integers(0, 3))
+    words = space.words_at_depth(d)
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(words), max_size=len(words)))
+    pieces = [
+        (Clopen.make(space, d, [w for w, lab in zip(words, labels) if lab == i]),
+         draw(st.integers(-3, 3)))
+        for i in sorted(set(labels))
+    ]
+    kind = draw(st.sampled_from(["partition", "gapped", "overlapping"]))
+    if kind == "gapped":
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    elif kind == "overlapping":
+        pieces.append((draw(clopens(space)), draw(st.integers(-3, 3))))
+    return draw(st.permutations(pieces))
+
+
+@st.composite
+def gamma_elements(draw, sys_):
+    seq = SEQS[sys_]
+    level = draw(st.integers(1, 3))
+    perms = [draw(st.permutations(range(t.height))) for t in seq.level(level).towers]
+    return gamma_element(sys_, seq.level(level), TowerPermutation(level, perms))
+
+
+def make_outcome(make, sys_, pieces):
+    try:
+        return make(sys_, pieces), None
+    except PiecewiseValidationError as exc:
+        return None, (str(exc), exc.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_piecewise_matches_running_union(data):
+    sys_ = data.draw(st.sampled_from([o2, o3, o23, bv11]))
+    pieces = data.draw(piece_lists(sys_))
+    assert PiecewisePower.make(sys_, pieces, validate=False) == reference_make(
+        sys_, pieces, validate=False
+    )
+    el, error = make_outcome(PiecewisePower.make, sys_, pieces)
+    assert (el, error) == make_outcome(reference_make, sys_, pieces)
+    f = el if el is not None else data.draw(gamma_elements(sys_))
+    g = data.draw(gamma_elements(sys_))
+    for x, y in ((f, g), (g, f), (f, f), (f, f.inverse())):
+        assert x.compose(y) == reference_compose(x, y)
+    assert f.inverse() == reference_inverse(f)
+    a = data.draw(clopens(sys_.space))
+    assert f.image_of(a) == reference_image_of(f, a)
+    assert f.support() == reference_support(f)
+
+
+def test_gamma_element_is_a_homomorphism():
+    rng = random.Random(17)
+    for sys_, seq in SEQS.items():
+        for level in (1, 2, 3):
+            xi = seq.level(level)
+            for _ in range(20):
+                p = random_tower_perm(seq, level, rng)
+                q = random_tower_perm(seq, level, rng)
+                assert gamma_element(sys_, xi, p.compose(q)) == gamma_element(
+                    sys_, xi, p
+                ).compose(gamma_element(sys_, xi, q))
+                assert gamma_element(sys_, xi, p.inverse()) == gamma_element(
+                    sys_, xi, p
+                ).inverse()
 
 
 # ---------------------------------------------------------------- gamma / embed

@@ -24,6 +24,7 @@ SP2 = o2.space
 SP3 = o3.space
 SP12 = Odometer((), (12,)).space
 SP2_12 = ProductSpace((2,), (12,))
+SP22_12 = ProductSpace((2, 2), (12,))
 
 
 def random_clopen(space, rng, max_depth=6) -> Clopen:
@@ -196,6 +197,43 @@ def test_literal_round_trip():
     for _ in range(50):
         a = random_clopen(SP2, rng, max_depth=5)
         assert Clopen.parse(SP2, a.render()) == a
+
+
+def test_word_literal_round_trip():
+    # alphabets above 10: a rendered symbol 10 must not split into digits
+    for space, word in (
+        (SP12, (10,)),
+        (SP12, (11,)),
+        (SP12, (1, 1)),
+        (SP12, (1, 1, 10)),
+        (SP12, (0, 11, 3)),
+        (SP22_12, (1, 0)),
+        (SP22_12, (1, 1)),
+        (SP22_12, (1, 1, 10)),
+        (SP22_12, (0, 1, 5, 11)),
+    ):
+        c = cylinder(space, word)
+        assert space.parse_word(space.render_word(word)) == word
+        assert Clopen.parse(space, c.render()) == c
+    rng = random.Random(12)
+    for space in (SP12, SP22_12):
+        for _ in range(20):
+            c = random_clopen(space, rng, max_depth=3)
+            assert Clopen.parse(space, c.render()) == c
+
+
+def test_word_literal_dotless_runs():
+    # narrow levels read one digit per symbol, as before
+    assert SP22_12.parse_word("11") == (1, 1)
+    assert SP2.parse_word("0110") == (0, 1, 1, 0)
+    # over a wide level the run is one symbol, unless only digits are admissible
+    assert SP12.parse_word("10") == (10,)
+    assert SP12.parse_word("12") == (1, 2)
+    assert SP22_12.parse_word("011") == (0, 1, 1)
+    # a leading zero never starts a one-symbol run
+    assert SP12.parse_word("01") == (0, 1)
+    with pytest.raises(InadmissibleWordError):
+        SP2_12.parse_word("22")
 
 
 def test_special_literals():
