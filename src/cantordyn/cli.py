@@ -10,7 +10,7 @@ import argparse
 import json
 import sys as _stdsys
 
-from .enumeration import TupleCoder, enum_dgamma, enum_gamma, enum_tfg
+from .enumeration import enum_dgamma, enum_gamma, enum_tfg
 from .equiv import orbit_decide, soe_backandforth, soe_cocycle_report, soe_decide
 from .errors import (
     CantorDynError,
@@ -21,6 +21,7 @@ from .errors import (
 from .fullgroup import (
     PiecewisePower,
     TowerPermutation,
+    as_level_permutation,
     derived_approx,
     embed_to,
     gamma_element,
@@ -90,8 +91,6 @@ def _load_element(sys_: System, path: str):
 def _as_tower_perm(seq: KRSequence, el, max_level: int) -> TowerPermutation:
     if isinstance(el, TowerPermutation):
         return el
-    from .enumeration import as_level_permutation
-
     return as_level_permutation(seq, el, max_level=max_level)
 
 
@@ -166,8 +165,7 @@ def _cmd_group(args, out) -> int:
     if args.group_cmd == "commutator":
         el = _load_element(sys_, args.element)
         tp = _as_tower_perm(seq, el, max_level=args.depth)
-        x0 = _x0_of(sys_, args.x0)
-        st = in_commutator(sys_, x0, tp, depth=args.depth, seq=seq)
+        st = in_commutator(sys_, seq.x0, tp, depth=args.depth, seq=seq)
         if args.json:
             _emit_json(out, st.to_json())
         else:
@@ -219,6 +217,10 @@ def _cmd_orbit(args, out) -> int:
 
 
 def _cmd_soe(args, out) -> int:
+    if args.report and not args.depth:
+        raise InputFormatError("--report needs --depth")
+    if args.horizon is not None and not args.report:
+        raise InputFormatError("--horizon needs --report")
     sys1 = system_from_file(args.system1)
     sys2 = system_from_file(args.system2)
     verdict = soe_decide(sys1, sys2)
@@ -230,7 +232,7 @@ def _cmd_soe(args, out) -> int:
         payload["backandforth"] = res.to_json()
         if args.report and hasattr(res, "rungs"):
             payload["cocycle_report"] = soe_cocycle_report(
-                res, horizon=args.horizon
+                res, horizon=8 if args.horizon is None else args.horizon
             )
     if args.json:
         _emit_json(out, payload)
@@ -293,14 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for q in (gv, gm, gs, gc, gd, gi):
         q.add_argument("system", help="system descriptor JSON file")
         q.add_argument("--json", action="store_true")
-        q.add_argument("--dump-towers", action="store_true")
     for q in (gv, gm, gs, gc, gd):
         q.add_argument("element", help="element JSON file")
+    for q in (gs, gd, gi):
+        q.add_argument("--dump-towers", action="store_true")
     gm.add_argument("--x0", default=None, help="base point literal")
     gm.add_argument("--horizon", type=int, default=100000)
     gs.add_argument("--level", type=int, required=True)
     gc.add_argument("--depth", type=int, required=True)
-    gc.add_argument("--x0", default=None, help="base point literal")
     gd.add_argument("--level", type=int, required=True)
     gi.add_argument("--clopen", required=True, help="clopen literal")
     gi.add_argument("--max-level", type=int, default=64)
@@ -322,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("system2", help="system descriptor JSON file")
     sc.add_argument("--depth", type=int, default=0)
     sc.add_argument("--report", action="store_true")
-    sc.add_argument("--horizon", type=int, default=8)
+    sc.add_argument("--horizon", type=int, default=None)
     sc.add_argument("--json", action="store_true")
 
     e = sub.add_parser("enum", help="element streams")
@@ -331,10 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
         q = esub.add_parser(name)
         q.add_argument("system", help="system descriptor JSON file")
         q.add_argument("--count", type=int, required=True)
-        q.add_argument("--start", type=int, default=0)
-        q.add_argument("--dedup", action="store_true")
+        if name != "dgamma":
+            q.add_argument("--start", type=int, default=0)
+            q.add_argument("--dedup", action="store_true")
         q.add_argument("--x0", default=None, help="base point literal")
-        q.add_argument("--horizon", type=int, default=100000)
+        if name != "tfg":
+            q.add_argument("--horizon", type=int, default=100000)
 
     return p
 

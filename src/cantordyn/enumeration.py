@@ -20,12 +20,11 @@ from .errors import (
     CapExceededError,
     InputFormatError,
     PiecewiseValidationError,
-    RefinementDepthError,
 )
-from .fullgroup import PiecewisePower, TowerPermutation, _zigzag, membership_gamma
+from .fullgroup import PiecewisePower, _zigzag, membership_gamma
 from .space import Clopen, Point, SpacePresentation
 from .systems import System
-from .towers import KRSequence, kr_sequence
+from .towers import kr_sequence
 
 _GF_ENUM_CAP = 100000  # largest displacement space counted by enumeration
 _LEVEL_CAP = 64        # hard stop for level scans
@@ -524,19 +523,13 @@ def enum_tfg(sys: System, count: int, start: int = 0, dedup: bool = False,
         yield n, elem
 
 
-def is_in_gamma(sys: System, x0: Point, f: PiecewisePower,
-                horizon: int = 100000, diagnostics: dict | None = None):
+def is_in_gamma(sys: System, x0: Point, f: PiecewisePower, horizon: int = 100000):
     """f when it preserves the forward orbit of x0, identity otherwise.
 
-    When the orbit scan exhausts the horizon before settling the bounds,
-    the identity is returned and diagnostics["horizon_exhausted"] is set.
+    When the orbit scan exhausts the horizon, its CapExceededError propagates:
+    a cap is never turned into an answer.
     """
-    try:
-        res = membership_gamma(sys, x0, f, cap=horizon)
-    except CapExceededError:
-        if diagnostics is not None:
-            diagnostics["horizon_exhausted"] = True
-        return PiecewisePower.identity(sys)
+    res = membership_gamma(sys, x0, f, cap=horizon)
     return f if res.member else PiecewisePower.identity(sys)
 
 
@@ -623,33 +616,3 @@ def enum_dgamma(sys: System, x0: Point | None = None, count: int = 100,
         emitted.append(candidate)
         yield out, candidate
         out += 1
-
-
-def as_level_permutation(seq: KRSequence, f: PiecewisePower,
-                         max_level: int = 16) -> TowerPermutation:
-    """Express a piecewise element as floor permutations of one level."""
-    for m in range(1, max_level + 1):
-        part = seq.level(m)
-        perms = []
-        ok = True
-        for t in part.towers:
-            targets = []
-            for j, atom in enumerate(t.atoms):
-                k = None
-                for dom, power in f.pieces:
-                    if atom.is_subset(dom):
-                        k = power
-                        break
-                if k is None or not 0 <= j + k < t.height:
-                    ok = False
-                    break
-                targets.append(j + k)
-            if not ok or sorted(targets) != list(range(t.height)):
-                ok = False
-                break
-            perms.append(tuple(targets))
-        if ok:
-            return TowerPermutation(m, perms)
-    raise RefinementDepthError(
-        "element is not a floor permutation within the level cap"
-    )

@@ -12,9 +12,10 @@ from .errors import (
     CapExceededError,
     InputFormatError,
     PiecewiseValidationError,
+    RefinementDepthError,
     SpaceMismatchError,
 )
-from .space import Clopen, Point, _check_same_space
+from .space import Clopen, Point, _check_same_space, _int_list, _is_int
 from .systems import System
 from .towers import KRPartition, KRSequence, StackingMap, atom_at
 
@@ -53,13 +54,6 @@ def perm_cycles(perm) -> list[tuple[int, ...]]:
         if len(cyc) > 1:
             cycles.append(tuple(cyc))
     return cycles
-
-
-def render_perm(perm) -> str:
-    cycles = perm_cycles(perm)
-    if not cycles:
-        return "id"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
 
 
 def _check_perm(perm, height: int, where: str) -> None:
@@ -129,20 +123,21 @@ class TowerPermutation:
             out.append(tuple(inv))
         return TowerPermutation(self.level, out)
 
-    def render(self) -> str:
-        return "; ".join(
-            f"tower {i}: {render_perm(p)}" for i, p in enumerate(self.perms)
-        )
-
     def to_json(self):
         return {"level": self.level, "perms": [list(p) for p in self.perms]}
 
     @staticmethod
     def from_json(data) -> "TowerPermutation":
         try:
-            return TowerPermutation(int(data["level"]), data["perms"])
+            level, perms = data["level"], data["perms"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"bad tower permutation data: {exc}") from exc
+        if not _is_int(level):
+            raise InputFormatError("bad tower permutation data: 'level' must be an integer")
+        if not isinstance(perms, list):
+            raise InputFormatError("bad tower permutation data: 'perms' must be a list")
+        where = "bad tower permutation data: perms"
+        return TowerPermutation(level, [_int_list(p, f"{where}[{i}]") for i, p in enumerate(perms)])
 
     def __eq__(self, other):
         return (
@@ -342,13 +337,16 @@ class PiecewisePower:
     @staticmethod
     def from_json(sys: System, data) -> "PiecewisePower":
         try:
-            pieces = [
-                (Clopen.parse(sys.space, p["domain"]), int(p["power"]))
-                for p in data["pieces"]
-            ]
+            raw = [(p["domain"], p["power"]) for p in data["pieces"]]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"bad piecewise data: {exc}") from exc
-        return PiecewisePower.make(sys, pieces)
+        for i, (dom, k) in enumerate(raw):
+            where = f"bad piecewise data: pieces[{i}]"
+            if not isinstance(dom, str):
+                raise InputFormatError(f"{where}: 'domain' must be a string")
+            if not _is_int(k):
+                raise InputFormatError(f"{where}: 'power' must be an integer")
+        return PiecewisePower.make(sys, [(Clopen.parse(sys.space, dom), k) for dom, k in raw])
 
 
 def validate_piecewise(sys: System, pieces) -> PiecewisePower:
@@ -365,6 +363,31 @@ def gamma_element(sys: System, xi: KRPartition, tp: TowerPermutation) -> Piecewi
         for j, atom in enumerate(t.atoms):
             pieces.append((atom, perm[j] - j))
     return PiecewisePower.make(sys, pieces, validate=False)
+
+
+def as_level_permutation(seq: KRSequence, f: PiecewisePower,
+                         max_level: int = 16) -> TowerPermutation:
+    """Express a piecewise element as floor permutations of one level.
+
+    A level works iff every domain is a union of its atoms and the floors,
+    moved by their pieces' powers, permute each tower.
+    """
+    for m in range(1, max_level + 1):
+        part = seq.level(m)
+        targets = [[None] * t.height for t in part.towers]
+        for dom, k in f.pieces:
+            floors = part.floors_inside(dom)
+            if floors is None:
+                break
+            for tgt, inside in zip(targets, floors):
+                for j in inside:
+                    tgt[j] = j + k
+        else:
+            if all(set(tgt) == set(range(len(tgt))) for tgt in targets):
+                return TowerPermutation(m, targets)
+    raise RefinementDepthError(
+        "element is not a floor permutation within the level cap"
+    )
 
 
 def embed_level(tp: TowerPermutation, sm: StackingMap) -> TowerPermutation:

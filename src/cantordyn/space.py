@@ -145,6 +145,17 @@ class ProductSpace(SpacePresentation):
         return f"ProductSpace(prefix={self.prefix}, period={self.period})"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_list(values, where: str) -> list:
+    """values as a list, when it is a list of integers (bools rejected)."""
+    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
+        raise InputFormatError(f"{where} must be a list of integers")
+    return list(values)
+
+
 def _check_same_space(a, b) -> None:
     if a.space.signature() != b.space.signature():
         raise SpaceMismatchError(

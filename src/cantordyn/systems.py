@@ -18,7 +18,7 @@ from .errors import (
     InputFormatError,
     UnsupportedSystemError,
 )
-from .space import Clopen, Point, ProductSpace, SpacePresentation
+from .space import Clopen, Point, ProductSpace, SpacePresentation, _int_list, _is_int
 
 
 class System:
@@ -175,8 +175,10 @@ class BVDiagram:
     """
 
     def __init__(self, vertices, edges, period_start):
-        self.counts = [int(n) for n in vertices]
-        self.period_start = int(period_start)
+        self.counts = _int_list(vertices, "bv: 'vertices'")
+        if not _is_int(period_start):
+            raise InputFormatError("bv: 'period_start' must be an integer")
+        self.period_start = period_start
         self.described = len(self.counts)
         if self.described < 1:
             raise InputFormatError("bv: need at least one level of vertices")
@@ -192,10 +194,12 @@ class BVDiagram:
             self.level_start.append(self.level_start[-1] + n)
         # bucket edges by destination level and validate
         per_level = [[] for _ in range(self.described + 1)]  # index by level 1..L
+        if not isinstance(edges, (list, tuple)):
+            raise InputFormatError("bv: 'edges' must be a list")
         for idx, triple in enumerate(edges):
-            if len(triple) != 3:
+            if len(_int_list(triple, f"bv: edges[{idx}]")) != 3:
                 raise InputFormatError(f"bv: edges[{idx}] must be [src, dst, order]")
-            src, dst, order = (int(t) for t in triple)
+            src, dst, order = triple
             lv = self._level_of_vertex(dst, idx)
             if lv < 1:
                 raise InputFormatError(f"bv: edges[{idx}]: destination is the root")
@@ -301,16 +305,6 @@ class BVDiagram:
     def edge(self, level: int, sym: int) -> tuple:
         return self.level_edges(level)[sym]
 
-    def indegree(self, level: int, v_local: int) -> int:
-        return len(self.incoming(level, v_local))
-
-    def is_max_edge(self, level: int, sym: int) -> bool:
-        src, dst, order = self.edge(level, sym)
-        return order == self.indegree(level, dst) - 1
-
-    def is_min_edge(self, level: int, sym: int) -> bool:
-        return self.edge(level, sym)[2] == 0
-
     def path_counts(self, level: int) -> list:
         """Number of finite paths from the root into each level vertex."""
         counts = [1]
@@ -371,45 +365,40 @@ class PathSpace(SpacePresentation):
 
 
 class BVSystem(System):
-    """Vershik map of a properly ordered Bratteli diagram."""
+    """Vershik map of a properly ordered Bratteli diagram.
+
+    The inverse is the Vershik map of the reversed edge order, so every step
+    below takes a direction: forward moves to the next incoming edge and
+    resets to minimal edges, backward to the previous one and maximal edges.
+    """
 
     kind = "bv"
 
-    def __init__(self, diagram: BVDiagram, check_order: bool = True):
+    def __init__(self, diagram: BVDiagram):
         self.diagram = diagram
         self.space = PathSpace(diagram)
-        if check_order:
-            report = self.proper_ordering_report()
-            if report["verdict"] != "properly-ordered":
-                raise InputFormatError(
-                    f"bv: diagram is not properly ordered: {report['reason']}"
-                )
+        report = self.proper_ordering_report()
+        if report["verdict"] != "properly-ordered":
+            raise InputFormatError(
+                f"bv: diagram is not properly ordered: {report['reason']}"
+            )
 
     # -- extremal paths ------------------------------------------------------
+
+    def _extreme_edge(self, level: int, v_local: int, which: str) -> int:
+        """The min or max incoming edge of a vertex."""
+        inc = self.diagram.incoming(level, v_local)
+        return inc[0] if which == "min" else inc[-1]
 
     def _extreme_word_into(self, level: int, v_local: int, which: str) -> tuple:
         """The minimal or maximal finite path into a vertex, as symbols."""
         word = []
         v = v_local
         for lv in range(level, 0, -1):
-            inc = self.diagram.incoming(lv, v)
-            sym = inc[0] if which == "min" else inc[-1]
+            sym = self._extreme_edge(lv, v, which)
             word.append(sym)
             v = self.diagram.edge(lv, sym)[0]
         return tuple(reversed(word))
-
-    def min_word_into(self, level: int, v_local: int) -> tuple:
-        return self._extreme_word_into(level, v_local, "min")
-
-    def max_word_into(self, level: int, v_local: int) -> tuple:
-        return self._extreme_word_into(level, v_local, "max")
-
-    def extreme_words(self, depth: int, which: str) -> set:
-        """All all-min (or all-max) words of a depth: one per vertex."""
-        return {
-            self._extreme_word_into(depth, v, which)
-            for v in range(self.diagram.count_at(depth))
-        }
 
     def _thread(self, which: str):
         """Backward-stable vertex thread of the extremal path at each level.
@@ -424,12 +413,7 @@ class BVSystem(System):
         deep = settle + d.period_len * (vmax + 2)
         sets = {deep: set(range(d.count_at(deep)))}
         for lv in range(deep, 0, -1):
-            prev = set()
-            for v in sets[lv]:
-                inc = d.incoming(lv, v)
-                sym = inc[0] if which == "min" else inc[-1]
-                prev.add(d.edge(lv, sym)[0])
-            sets[lv - 1] = prev
+            sets[lv - 1] = {d.edge(lv, self._extreme_edge(lv, v, which))[0] for v in sets[lv]}
         for k in range(d.period_start - 1, d.period_start - 1 + d.period_len):
             if len(sets[k]) > 1:
                 return "multiple", (k, sorted(sets[k])[:2])
@@ -437,91 +421,58 @@ class BVSystem(System):
         return "unique", thread
 
     def proper_ordering_report(self) -> dict:
-        vm, dm = self._thread("min")
-        vx, dx = self._thread("max")
-        if vm == "multiple":
-            level, pair = dm
-            return {
-                "verdict": "failed",
-                "reason": f"two distinct minimal paths pass through level-{level} "
-                f"vertices {pair[0]} and {pair[1]}",
-            }
-        if vx == "multiple":
-            level, pair = dx
-            return {
-                "verdict": "failed",
-                "reason": f"two distinct maximal paths pass through level-{level} "
-                f"vertices {pair[0]} and {pair[1]}",
-            }
+        for which, name in (("min", "minimal"), ("max", "maximal")):
+            verdict, data = self._thread(which)
+            if verdict == "multiple":
+                level, pair = data
+                return {
+                    "verdict": "failed",
+                    "reason": f"two distinct {name} paths pass through level-{level} "
+                    f"vertices {pair[0]} and {pair[1]}",
+                }
         return {"verdict": "properly-ordered", "reason": ""}
 
     def _extreme_point(self, which: str) -> Point:
         verdict, thread = self._thread(which)
         if verdict != "unique":
             raise InputFormatError("diagram has no unique extremal path")
-        d = self.diagram
         # in the periodic regime the thread repeats with the pattern period
-        start = d.period_start
-        T = d.period_len
-        syms = []
-        for lv in range(1, start + T):
-            v = thread[lv]
-            inc = d.incoming(lv, v)
-            syms.append(inc[0] if which == "min" else inc[-1])
-        head = tuple(syms[: start - 1])
-        tail = tuple(syms[start - 1 : start - 1 + T])
-        return Point(self.space, head, tail)
+        start = self.diagram.period_start
+        T = self.diagram.period_len
+        syms = [self._extreme_edge(lv, thread[lv], which) for lv in range(1, start + T)]
+        return Point(self.space, tuple(syms[: start - 1]), tuple(syms[start - 1 :]))
 
     def min_point(self) -> Point:
         return self._extreme_point("min")
 
-    def max_point(self) -> Point:
-        return self._extreme_point("max")
+    # -- one Vershik step, either direction -------------------------------------
 
-    # -- successor on words ---------------------------------------------------
+    def _step_word(self, word: tuple, forward: bool) -> tuple | None:
+        """Vershik successor (forward) or predecessor of a finite path.
 
-    def word_succ(self, word: tuple) -> tuple | None:
-        """Vershik successor of a finite path; None when the word is maximal."""
+        The first edge with a next (previous) incoming edge at its target
+        moves to it, and the prefix below becomes the minimal (maximal) path
+        into the new source.  None when every edge is maximal (minimal).
+        """
         d = self.diagram
+        shift, reset = (1, "min") if forward else (-1, "max")
         for j, sym in enumerate(word):
             lv = j + 1
-            if not d.is_max_edge(lv, sym):
-                src, dst, order = d.edge(lv, sym)
-                inc = d.incoming(lv, dst)
-                nxt = inc[inc.index(sym) + 1]
-                new_src = d.edge(lv, nxt)[0]
-                prefix = self.min_word_into(j, new_src) if j > 0 else ()
-                return prefix + (nxt,) + word[j + 1 :]
+            inc = d.incoming(lv, d.edge(lv, sym)[1])
+            at = inc.index(sym) + shift
+            if 0 <= at < len(inc):
+                src = d.edge(lv, inc[at])[0]
+                return self._extreme_word_into(j, src, reset) + (inc[at],) + word[lv:]
         return None
-
-    def word_pred(self, word: tuple) -> tuple | None:
-        d = self.diagram
-        for j, sym in enumerate(word):
-            lv = j + 1
-            if not d.is_min_edge(lv, sym):
-                src, dst, order = d.edge(lv, sym)
-                inc = d.incoming(lv, dst)
-                prv = inc[inc.index(sym) - 1]
-                new_src = d.edge(lv, prv)[0]
-                prefix = self.max_word_into(j, new_src) if j > 0 else ()
-                return prefix + (prv,) + word[j + 1 :]
-        return None
-
-    # -- dynamics on points -----------------------------------------------------
 
     def _step_point(self, x: Point, forward: bool) -> Point:
-        d = self.diagram
         probe = self.space.point_probe(len(x.head), len(x.tail))
-        w = x.prefix_word(probe)
-        wanted = d.is_max_edge if forward else d.is_min_edge
-        for j in range(probe):
-            if not wanted(j + 1, w[j]):
-                stepped = self.word_succ(w[: j + 1]) if forward else self.word_pred(w[: j + 1])
-                rot = (probe - len(x.head)) % len(x.tail)
-                tail = x.tail[rot:] + x.tail[:rot]
-                return Point(self.space, stepped + w[j + 1 :], tail)
-        # the whole expansion is extremal, hence the point is the extremal path
-        return self.min_point() if forward else self.max_point()
+        stepped = self._step_word(x.prefix_word(probe), forward)
+        if stepped is None:
+            # the whole expansion is extremal, hence the point is the extremal path
+            return self._extreme_point("min" if forward else "max")
+        rot = (probe - len(x.head)) % len(x.tail)
+        return Point(self.space, stepped, x.tail[rot:] + x.tail[:rot])
 
     def image_point(self, x: Point, k: int) -> Point:
         for _ in range(abs(k)):
@@ -531,53 +482,50 @@ class BVSystem(System):
     # -- dynamics on clopens -------------------------------------------------------
 
     def _step_words(self, words: set, depth: int, forward: bool) -> Clopen:
-        """Image of a union of depth-d cylinders under the (co)Vershik map."""
+        """Image of a union of depth-d cylinders under the (co)Vershik map.
+
+        A word with a Vershik step maps onto the cylinder of the stepped word.
+        The extremal words, which have none, split one level deeper until
+        they make up the whole extremal bundle of a depth: one word per vertex.
+        """
         d = self.diagram
-        step = self.word_succ if forward else self.word_pred
-        extreme = "max" if forward else "min"
         out: set = set()
-        regular = set()
-        frontier = set()
-        bound = self.extreme_words(depth, extreme)
+        cur: set = set()
         for w in words:
-            (frontier if w in bound else regular).add(w)
-        for w in regular:
-            out.add(step(w))
+            stepped = self._step_word(w, forward)
+            if stepped is None:
+                cur.add(w)
+            else:
+                out.add(stepped)
         out_depth = depth
-        if frontier:
-            cap = depth + d.period_len * (max(d.count_at(l) for l in range(1, d.described + 1)) + 3) + 4
-            cur = frontier
-            D = depth
-            while True:
-                bound_D = self.extreme_words(D, extreme)
-                if cur == bound_D:
-                    # image of the full extremal bundle: complement of the
-                    # stepped images of every non-extremal word
-                    all_words = set(self.space.words_at_depth(D))
-                    block = all_words - {step(w) for w in all_words - bound_D}
-                    out |= block
-                    out_depth = max(out_depth, D)
-                    break
-                if not cur:
-                    break
-                if D >= cap:
-                    raise CapExceededError(
-                        "extremal-bundle image did not stabilize; diagram is not "
-                        "properly ordered or the cap is too small"
-                    )
-                # split one level deeper: non-extremal extensions step as words,
-                # extremal extensions stay in the frontier
-                nxt_bound = self.extreme_words(D + 1, extreme)
-                nxt = set()
-                for w in cur:
-                    for u in self.space.extensions(w, D + 1):
-                        if u in nxt_bound:
-                            nxt.add(u)
-                        else:
-                            out_depth = max(out_depth, D + 1)
-                            out.add(step(u))
-                cur = nxt
-                D += 1
+        cap = depth + d.period_len * (max(d.count_at(l) for l in range(1, d.described + 1)) + 3) + 4
+        D = depth
+        while cur:
+            if len(cur) == d.count_at(D):
+                # image of the full extremal bundle: complement of the
+                # stepped images of every non-extremal word (extremal ones give None)
+                all_words = self.space.words_at_depth(D)
+                out |= set(all_words) - {self._step_word(w, forward) for w in all_words}
+                out_depth = D
+                break
+            if D >= cap:
+                raise CapExceededError(
+                    "extremal-bundle image did not stabilize; diagram is not "
+                    "properly ordered or the cap is too small"
+                )
+            # split one level deeper: non-extremal extensions step as words,
+            # extremal extensions stay in the frontier
+            nxt = set()
+            for w in cur:
+                for u in self.space.extensions(w, D + 1):
+                    stepped = self._step_word(u, forward)
+                    if stepped is None:
+                        nxt.add(u)
+                    else:
+                        out_depth = D + 1
+                        out.add(stepped)
+            cur = nxt
+            D += 1
         # normalize mixed depths
         final = set()
         for w in out:
@@ -688,23 +636,20 @@ def load_system(obj) -> System:
         raise InputFormatError(
             "descriptor must be exactly one of {'odometer': ...} or {'bv': ...}"
         )
-    if "odometer" in obj:
-        body = obj["odometer"]
-        if not isinstance(body, dict):
-            raise InputFormatError("odometer: body must be an object")
-        prefix = body.get("prefix", [])
-        period = body.get("period")
-        if period is None:
+    ((kind, body),) = obj.items()
+    if kind not in ("odometer", "bv"):
+        raise InputFormatError(f"unknown system kind {set(obj)!r}")
+    if not isinstance(body, dict):
+        raise InputFormatError(f"{kind}: body must be an object")
+    if kind == "odometer":
+        if "period" not in body:
             raise InputFormatError("odometer: missing 'period'")
-        return Odometer(prefix, period)
-    if "bv" in obj:
-        body = obj["bv"]
-        for key in ("vertices", "edges", "period_start"):
-            if key not in body:
-                raise InputFormatError(f"bv: missing {key!r}")
-        diagram = BVDiagram(body["vertices"], body["edges"], body["period_start"])
-        return BVSystem(diagram)
-    raise InputFormatError(f"unknown system kind {set(obj)!r}")
+        prefix = _int_list(body.get("prefix", []), "odometer: 'prefix'")
+        return Odometer(prefix, _int_list(body["period"], "odometer: 'period'"))
+    for key in ("vertices", "edges", "period_start"):
+        if key not in body:
+            raise InputFormatError(f"bv: missing {key!r}")
+    return BVSystem(BVDiagram(body["vertices"], body["edges"], body["period_start"]))
 
 
 def system_from_file(path: str) -> System:

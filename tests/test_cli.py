@@ -285,3 +285,77 @@ def test_input_errors_exit_two(tmp_path):
     assert code == 2 and "'0.11'" in text
     code, _ = invoke("group", "member", ODO2, el, "--x0", "0.\u00b2")
     assert code == 2
+
+
+def test_ignored_options_are_rejected(capsys):
+    # options that were accepted and then ignored are gone
+    for flag, argv in (
+        ("--dump-towers", ("group", "validate", ODO2, "el.json")),
+        ("--dump-towers", ("group", "member", ODO2, "el.json")),
+        ("--dump-towers", ("group", "commutator", ODO2, "el.json", "--depth", "3")),
+        ("--x0 0.1", ("group", "commutator", ODO2, "el.json", "--depth", "3")),
+        ("--horizon 5", ("enum", "tfg", ODO2, "--count", "2")),
+        ("--start 99", ("enum", "dgamma", ODO2, "--count", "2")),
+        ("--dedup", ("enum", "dgamma", ODO2, "--count", "2")),
+    ):
+        assert invoke(*argv, *flag.split()) == (2, "")
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # soe options that only act together with another one
+    assert invoke("soe", "check", ODO2, ODO4, "--report") == (
+        2, "input error: --report needs --depth\n"
+    )
+    assert invoke("soe", "check", ODO2, ODO4, "--depth", "3", "--horizon", "4") == (
+        2, "input error: --horizon needs --report\n"
+    )
+
+
+def test_enum_gamma_cap_is_not_an_answer():
+    code, text = invoke("enum", "gamma", ODO2, "--count", "6", "--horizon", "1")
+    assert code == 3
+    assert text.splitlines()[-1].startswith("resource cap: orbit scan cap 1")
+
+
+_BV11_EDGES = [[0, 1, 0], [0, 2, 0], [1, 3, 0], [2, 3, 1], [1, 4, 0], [2, 4, 1]]
+
+
+def _bv(**changes):
+    body = {"vertices": [2, 2], "edges": _BV11_EDGES, "period_start": 2}
+    body.update(changes)
+    return {"bv": body}
+
+
+MALFORMED_DESCRIPTORS = [
+    ({"odometer": {"prefix": "ab", "period": [2]}}, "odometer: 'prefix'"),
+    ({"odometer": {"period": [2.5]}}, "odometer: 'period'"),
+    ({"odometer": {"period": [True]}}, "odometer: 'period'"),
+    ({"odometer": [2]}, "odometer: body"),
+    ({"bv": 5}, "bv: body"),
+    (_bv(vertices=[2, "x"]), "bv: 'vertices'"),
+    (_bv(period_start="2"), "bv: 'period_start'"),
+    (_bv(period_start=2.0), "bv: 'period_start'"),
+    (_bv(edges=5), "bv: 'edges'"),
+    (_bv(edges=[[0, 1, "0"]] + _BV11_EDGES[1:]), "bv: edges[0]"),
+    (_bv(edges=_BV11_EDGES[:5] + [[2, 4, 1.0]]), "bv: edges[5]"),
+]
+
+MALFORMED_ELEMENTS = [
+    ({"pieces": [{"domain": 5, "power": 0}]}, "pieces[0]: 'domain'"),
+    ({"pieces": [{"domain": "X", "power": 1.5}]}, "pieces[0]: 'power'"),
+    ({"pieces": [{"domain": "0", "power": 1}, {"domain": "1", "power": True}]},
+     "pieces[1]: 'power'"),
+    ({"level": "x", "perms": [[0, 1]]}, "'level'"),
+    ({"level": 1.5, "perms": [[1, 0]]}, "'level'"),
+    ({"level": 1, "perms": [[True, False]]}, "perms[0]"),
+    ({"level": 1, "perms": 5}, "'perms'"),
+]
+
+
+def test_malformed_json_inputs_exit_two(tmp_path):
+    for i, (desc, field) in enumerate(MALFORMED_DESCRIPTORS):
+        path = write_json(tmp_path, f"desc{i}.json", desc)
+        code, text = invoke("towers", path, "--max-level", "1")
+        assert code == 2 and text.startswith("input error: ") and field in text, (desc, text)
+    for i, (element, field) in enumerate(MALFORMED_ELEMENTS):
+        path = write_json(tmp_path, f"el{i}.json", element)
+        code, text = invoke("group", "validate", ODO2, path)
+        assert code == 2 and text.startswith("input error: ") and field in text, (element, text)

@@ -24,7 +24,7 @@ from cantordyn import (
     kr_sequence,
     membership_gamma,
 )
-from cantordyn.errors import RefinementDepthError
+from cantordyn.errors import CapExceededError, RefinementDepthError
 
 o2 = Odometer((), (2,))
 o23 = Odometer((), (2, 3))
@@ -162,9 +162,9 @@ def test_is_in_gamma_contract():
     swap = PiecewisePower.make(o2, TupleCoder(o2).decode(4).pieces())
     assert is_in_gamma(o2, x0, swap) == swap
 
-    diag = {}
-    res = is_in_gamma(o2, x0, swap, horizon=1, diagnostics=diag)
-    assert res.is_identity() and diag.get("horizon_exhausted") is True
+    # a horizon too short to settle the bounds is an error, never the identity
+    with pytest.raises(CapExceededError):
+        is_in_gamma(o2, x0, swap, horizon=1)
 
 
 def test_is_in_gamma_matches_membership():

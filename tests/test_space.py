@@ -303,3 +303,11 @@ def test_point_normalization():
     c = Point(SP2, (), (1, 1))
     d = Point(SP2, (), (1,))
     assert c == d
+
+
+def test_parse_pads_mixed_depths():
+    # shallow words of a literal are refined to its deepest word
+    assert Clopen.parse(SP2, "0+11") == Clopen.make(SP2, 2, [(0, 0), (0, 1), (1, 1)])
+    assert Clopen.parse(SP2, "0+11").render() == "00+01+11"
+    assert Clopen.parse(SP2, "00+01+1") == Clopen.full(SP2)
+    assert Clopen.parse(SP2, "00+01+1").render() == "X"

@@ -17,6 +17,7 @@ from cantordyn.systems import (
     load_system,
     minimality_evidence,
 )
+from cantordyn.towers import KRSequence
 
 o2 = Odometer((), (2,))
 o3 = Odometer((), (3,))
@@ -29,6 +30,15 @@ def bv_stationary_11() -> BVSystem:
         (1, 4, 0), (2, 4, 1),
     ]
     return BVSystem(BVDiagram([2, 2], edges, 2))
+
+
+# three levels, in-degree 3, incoming orders that cross the source order
+BV3 = {"bv": {
+    "vertices": [2, 2, 2],
+    "edges": [[0, 1, 0], [0, 2, 0], [1, 3, 0], [2, 3, 1], [1, 3, 2], [2, 4, 0],
+              [1, 4, 1], [3, 5, 0], [4, 5, 1], [3, 6, 0], [4, 6, 1], [4, 6, 2]],
+    "period_start": 2,
+}}
 
 
 def random_point(space, rng) -> Point:
@@ -89,6 +99,22 @@ def test_eventually_periodic_closed_under_successor():
         x = random_point(o2.space, rng)
         y = o2.image_point(x, 1)
         assert isinstance(y, Point)  # construction enforces periodicity
+
+
+def test_step_word_follows_vershik_order():
+    for sys_, pairs in ((bv_stationary_11(), 114), (load_system(BV3), 275)):
+        seq = KRSequence(sys_)
+        seen = 0
+        for level in range(1, 7):
+            for v in range(sys_.diagram.count_at(level)):
+                paths = list(seq._paths_into(level, v))
+                for p, q in zip(paths, paths[1:]):
+                    assert sys_._step_word(p, True) == q
+                    assert sys_._step_word(q, False) == p
+                    seen += 1
+                assert sys_._step_word(paths[-1], True) is None
+                assert sys_._step_word(paths[0], False) is None
+        assert seen == pairs
 
 
 # -- clopen dynamics ------------------------------------------------------------
@@ -202,6 +228,23 @@ def test_reducible_bv_fails():
         if rep["verdict"] != "failed":
             raise AssertionError(rep)
         raise InputFormatError("failed as expected")
+
+
+def test_two_level_period_bv_evidence():
+    # the period spans levels 2 and 3, so the telescoped matrix is a product
+    rep = minimality_evidence(load_system(BV3))
+    assert rep["verdict"] == "evidence-to-horizon"
+    assert "positive at power 1" in rep["detail"]
+
+
+def test_two_maximal_paths_rejected():
+    edges = [[0, 1, 0], [0, 2, 0], [1, 3, 0], [2, 3, 1], [1, 3, 2], [1, 4, 0], [2, 4, 1]]
+    with pytest.raises(InputFormatError) as err:
+        load_system({"bv": {"vertices": [2, 2], "edges": edges, "period_start": 2}})
+    assert str(err.value) == (
+        "bv: diagram is not properly ordered: two distinct maximal paths pass "
+        "through level-1 vertices 0 and 1"
+    )
 
 
 # -- descriptors ------------------------------------------------------------
