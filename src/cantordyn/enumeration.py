@@ -564,6 +564,7 @@ def enum_dgamma(sys: System, x0: Point | None = None, count: int = 100,
         x0 = sys.min_point()
     coder = TupleCoder(sys, x0)
     gammas: list[PiecewisePower] = []
+    inverses: list[PiecewisePower] = []  # inverses[i] is gammas[i].inverse()
     gamma_seen = set()
     source = enum_tfg(sys, code_budget, coder=coder)
 
@@ -582,6 +583,7 @@ def enum_dgamma(sys: System, x0: Point | None = None, count: int = 100,
                 continue
             gamma_seen.add(g)
             gammas.append(g)
+            inverses.append(g.inverse())
         return gammas[i]
 
     def diagonal():
@@ -604,9 +606,7 @@ def enum_dgamma(sys: System, x0: Point | None = None, count: int = 100,
         else:
             i, j = next(pair_iter)
             g, h = gamma_at(i), gamma_at(j)
-            candidate = (
-                g.compose(h).compose(g.inverse()).compose(h.inverse())
-            )
+            candidate = g.compose(h).compose(inverses[i]).compose(inverses[j])
         if candidate in seen:
             continue
         seen.add(candidate)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import product
 
 from .errors import InadmissibleWordError, InputFormatError, SpaceMismatchError
 
@@ -23,7 +24,8 @@ class SpacePresentation(ABC):
 
     @abstractmethod
     def next_symbols(self, word: tuple) -> tuple:
-        """Symbols s such that word + (s,) is admissible."""
+        """Symbols s such that word + (s,) is admissible, for an admissible
+        word (a product space returns the level's alphabet for any word)."""
 
     @abstractmethod
     def word_count(self, depth: int) -> int:
@@ -41,23 +43,19 @@ class SpacePresentation(ABC):
         """Depth to expand when validating an eventually periodic point."""
         return head_len + 2 * tail_len + 8
 
+    @abstractmethod
     def check_word(self, word) -> tuple:
-        w = tuple(word)
-        for i in range(len(w)):
-            if w[i] not in self.next_symbols(w[:i]):
-                raise InadmissibleWordError(w, junction=i)
-        return w
+        """word as a tuple if admissible, else InadmissibleWordError at the
+        first level whose symbol does not extend the prefix before it."""
+
+    @abstractmethod
+    def extensions(self, word: tuple, depth: int) -> list[tuple]:
+        """All admissible extensions of word to the given total depth, in
+        lexicographic order; [word] when depth <= len(word)."""
 
     def words_at_depth(self, depth: int) -> list[tuple]:
         """All admissible words of a depth, in lexicographic order."""
         return self.extensions((), depth)
-
-    def extensions(self, word: tuple, depth: int) -> list[tuple]:
-        """All admissible extensions of word to the given total depth."""
-        out = [word]
-        for _ in range(depth - len(word)):
-            out = [w + (s,) for w in out for s in self.next_symbols(w)]
-        return out
 
     # -- word literals ----------------------------------------------------
 
@@ -99,7 +97,7 @@ class SpacePresentation(ABC):
 class ProductSpace(SpacePresentation):
     """Full product of finite alphabets with eventually periodic sizes."""
 
-    __slots__ = ("prefix", "period")
+    __slots__ = ("prefix", "period", "_alphabets")
 
     def __init__(self, prefix, period):
         self.prefix = tuple(int(b) for b in prefix)
@@ -108,6 +106,14 @@ class ProductSpace(SpacePresentation):
             raise InputFormatError("product space needs a nonempty period")
         if any(b < 2 for b in self.prefix + self.period):
             raise InputFormatError("alphabet sizes must be >= 2")
+        self._alphabets = []  # level i -> tuple(range(size_at(i))), grown on demand
+
+    def _alphabets_to(self, depth: int) -> list:
+        """The per-level alphabets, covering at least levels 0..depth-1."""
+        al = self._alphabets
+        while len(al) < depth:
+            al.append(tuple(range(self.size_at(len(al)))))
+        return al
 
     def signature(self) -> tuple:
         return ("product", self.prefix, self.period)
@@ -124,7 +130,20 @@ class ProductSpace(SpacePresentation):
         return max(self.prefix + self.period)
 
     def next_symbols(self, word: tuple) -> tuple:
-        return tuple(range(self.size_at(len(word))))
+        return self._alphabets_to(len(word) + 1)[len(word)]
+
+    def check_word(self, word) -> tuple:
+        w = tuple(word)
+        al = self._alphabets_to(len(w))
+        for i, s in enumerate(w):
+            if not (0 <= s < len(al[i]) if type(s) is int else s in al[i]):
+                raise InadmissibleWordError(w, junction=i)
+        return w
+
+    def extensions(self, word: tuple, depth: int) -> list[tuple]:
+        if depth <= len(word):
+            return [word]
+        return [word + t for t in product(*self._alphabets_to(depth)[len(word):depth])]
 
     def word_count(self, depth: int) -> int:
         out = 1
@@ -274,17 +293,7 @@ class Clopen:
             if len(w) != depth:
                 raise InputFormatError(f"word {w!r} does not have depth {depth}")
             space.check_word(w)
-        # merge complete sibling families until some family is incomplete
-        while depth > 0:
-            parents = {}
-            for w in ws:
-                parents.setdefault(w[:-1], set()).add(w[-1])
-            if all(got == set(space.next_symbols(p)) for p, got in parents.items()):
-                ws = set(parents.keys())
-                depth -= 1
-            else:
-                break
-        return Clopen(space, depth, frozenset(ws), _canonical=True)
+        return _merge(space, depth, ws)
 
     # -- constructors ------------------------------------------------------
 
@@ -328,24 +337,26 @@ class Clopen:
 
     # -- Boolean algebra -----------------------------------------------------
 
+    # the operands' words are admissible, so results go straight to _merge
+
     def union(self, other: "Clopen") -> "Clopen":
         _check_same_space(self, other)
         d = max(self.depth, other.depth)
-        return Clopen.make(self.space, d, self.refined_words(d) | other.refined_words(d))
+        return _merge(self.space, d, self.refined_words(d) | other.refined_words(d))
 
     def intersection(self, other: "Clopen") -> "Clopen":
         _check_same_space(self, other)
         d = max(self.depth, other.depth)
-        return Clopen.make(self.space, d, self.refined_words(d) & other.refined_words(d))
+        return _merge(self.space, d, self.refined_words(d) & other.refined_words(d))
 
     def difference(self, other: "Clopen") -> "Clopen":
         _check_same_space(self, other)
         d = max(self.depth, other.depth)
-        return Clopen.make(self.space, d, self.refined_words(d) - other.refined_words(d))
+        return _merge(self.space, d, self.refined_words(d) - other.refined_words(d))
 
     def complement(self) -> "Clopen":
         all_words = set(self.space.words_at_depth(self.depth))
-        return Clopen.make(self.space, self.depth, all_words - self.words)
+        return _merge(self.space, self.depth, all_words - self.words)
 
     def compare(self, other: "Clopen") -> str:
         """One of: equal, subset, superset, disjoint, incomparable."""
@@ -405,21 +416,37 @@ class Clopen:
         words = [space.parse_word(tok) for tok in text.split("+") if tok != ""]
         if not words:
             raise InputFormatError(f"empty clopen literal {text!r}")
-        depths = {len(w) for w in words}
-        if len(depths) != 1:
-            # pad by refining shallow words to the common maximal depth
-            d = max(depths)
-            padded = []
-            for w in words:
-                padded.extend(space.extensions(w, d))
-            return Clopen.make(space, d, padded)
-        return Clopen.make(space, depths.pop(), words)
+        # parse_word checked every word; pad shallow ones to the deepest
+        d = max(len(w) for w in words)
+        padded = set()
+        for w in words:
+            padded.update(space.extensions(w, d))
+        return _merge(space, d, padded)
 
 
 def cylinder(space: SpacePresentation, word) -> Clopen:
     """Clopen of all extensions of an admissible word."""
     w = space.check_word(tuple(word))
-    return Clopen.make(space, len(w), [w])
+    return _merge(space, len(w), {w})
+
+
+def _merge(space: SpacePresentation, depth: int, ws: set) -> Clopen:
+    """Canonical clopen of a set of admissible words of one depth.
+
+    Complete sibling families merge into their parent until some family is
+    incomplete; the words being admissible, a family is complete when it
+    has as many members as its parent has next symbols.
+    """
+    while depth > 0:
+        parents = {}
+        for w in ws:
+            parents.setdefault(w[:-1], set()).add(w[-1])
+        if all(len(got) == len(space.next_symbols(p)) for p, got in parents.items()):
+            ws = set(parents.keys())
+            depth -= 1
+        else:
+            break
+    return Clopen(space, depth, frozenset(ws), _canonical=True)
 
 
 def boolean_op(kind: str, a: Clopen, b: Clopen | None = None) -> Clopen:

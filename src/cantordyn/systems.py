@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import (
     CapExceededError,
+    InadmissibleWordError,
     InputFormatError,
     UnsupportedSystemError,
 )
@@ -341,14 +342,41 @@ class PathSpace(SpacePresentation):
     def signature(self) -> tuple:
         return self._sig
 
-    def next_symbols(self, word: tuple) -> tuple:
+    def _walk(self, word: tuple) -> tuple:
+        """(n, v): the longest path prefix of word has n edges and ends at
+        the level-n vertex v."""
         v = 0
+        level_edges = self.diagram.level_edges
         for i, sym in enumerate(word):
-            edges = self.diagram.level_edges(i + 1)
-            if sym >= len(edges) or edges[sym][0] != v:
-                return ()
+            edges = level_edges(i + 1)
+            if not 0 <= sym < len(edges) or edges[sym][0] != v:
+                return i, v
             v = edges[sym][1]
-        return self.diagram.outgoing(len(word) + 1, v)
+        return len(word), v
+
+    def next_symbols(self, word: tuple) -> tuple:
+        n, v = self._walk(word)
+        return self.diagram.outgoing(n + 1, v) if n == len(word) else ()
+
+    def check_word(self, word) -> tuple:
+        w = tuple(word)
+        n, _ = self._walk(w)
+        if n < len(w):
+            raise InadmissibleWordError(w, junction=n)
+        return w
+
+    def extensions(self, word: tuple, depth: int) -> list[tuple]:
+        if depth <= len(word):
+            return [word]
+        n, v = self._walk(word)
+        if n < len(word):
+            return []
+        d = self.diagram
+        out = [(word, v)]
+        for lv in range(n + 1, depth + 1):
+            edges = d.level_edges(lv)
+            out = [(w + (s,), edges[s][1]) for w, u in out for s in d.outgoing(lv, u)]
+        return [w for w, _ in out]
 
     def word_count(self, depth: int) -> int:
         return sum(self.diagram.path_counts(depth))

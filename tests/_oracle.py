@@ -4,16 +4,21 @@ The brute-force mask oracle for the orbit tests: exhaustive permutation
 sweeps.  The half-mask tables below only speed up applying a permutation to
 a mask — every permutation is still applied to every mask.
 
-The running-union piecewise powers: see the section at the end.
+Word admissibility by walking next_symbols, and the running-union piecewise
+powers: see the sections at the end.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from cantordyn.errors import PiecewiseValidationError, SpaceMismatchError
+from cantordyn.errors import (
+    InadmissibleWordError,
+    PiecewiseValidationError,
+    SpaceMismatchError,
+)
 from cantordyn.fullgroup import PiecewisePower, _zigzag
-from cantordyn.space import Clopen
+from cantordyn.space import Clopen, ProductSpace
 
 
 def apply_perm_to_mask(perm, mask: int) -> int:
@@ -134,4 +139,50 @@ def reference_support(self):
     for dom, k in self.pieces:
         if k != 0:
             out = out.union(dom)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# admissibility by walking next_symbols
+#
+# check_word and extensions as SpacePresentation defined them for every space
+# when both called next_symbols once per prefix.  ProductSpace and PathSpace
+# now check and extend a word in one pass; these are the reference.  Their
+# next_symbols is checked against reference_next_symbols, which tries every
+# symbol of the level.
+
+
+def reference_admissible(space, word) -> bool:
+    """Whether word is a word of the space, straight from its definition:
+    a product word has every symbol in its level's alphabet; a path word's
+    first edge leaves the root and each edge leaves the vertex the one
+    before it enters."""
+    if isinstance(space, ProductSpace):
+        return all(s in range(space.size_at(i)) for i, s in enumerate(word))
+    v = 0
+    for i, s in enumerate(word):
+        edges = space.diagram.level_edges(i + 1)
+        if s not in range(len(edges)) or edges[s][0] != v:
+            return False
+        v = edges[s][1]
+    return True
+
+
+def reference_next_symbols(space, word) -> tuple:
+    n = len(word)
+    return tuple(s for s in range(space.size_bound(n)) if reference_admissible(space, word + (s,)))
+
+
+def reference_check_word(space, word) -> tuple:
+    w = tuple(word)
+    for i in range(len(w)):
+        if w[i] not in space.next_symbols(w[:i]):
+            raise InadmissibleWordError(w, junction=i)
+    return w
+
+
+def reference_extensions(space, word: tuple, depth: int) -> list[tuple]:
+    out = [word]
+    for _ in range(depth - len(word)):
+        out = [w + (s,) for w in out for s in space.next_symbols(w)]
     return out

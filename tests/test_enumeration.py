@@ -211,3 +211,18 @@ def test_as_level_permutation_rejects_non_level_element():
     sigma = PiecewisePower.make(o2, [(Clopen.full(sp), 1)], validate=False)
     with pytest.raises(RefinementDepthError):
         as_level_permutation(seq, sigma, max_level=5)
+
+
+def test_enum_dgamma_inverts_each_gamma_once(monkeypatch):
+    calls = []
+    inverse = PiecewisePower.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(PiecewisePower, "inverse", counted)
+    out = list(enum_dgamma(o2, count=20))
+    assert len(out) == 20
+    assert calls
+    assert len(calls) == len(set(calls))

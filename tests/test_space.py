@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import re
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracle import (
+    reference_admissible,
+    reference_check_word,
+    reference_extensions,
+    reference_next_symbols,
+)
 from cantordyn.errors import InadmissibleWordError, InputFormatError, SpaceMismatchError
 from cantordyn.space import (
     Clopen,
@@ -16,7 +27,8 @@ from cantordyn.space import (
     cylinder,
     cylinder_at,
 )
-from cantordyn.systems import Odometer
+from cantordyn.systems import Odometer, load_system
+from test_systems import BV3
 
 o2 = Odometer((), (2,))
 o3 = Odometer((), (3,))
@@ -311,3 +323,75 @@ def test_parse_pads_mixed_depths():
     assert Clopen.parse(SP2, "0+11").render() == "00+01+11"
     assert Clopen.parse(SP2, "00+01+1") == Clopen.full(SP2)
     assert Clopen.parse(SP2, "00+01+1").render() == "X"
+
+
+# -- one-pass admissibility against the reference walk ----------------------------
+
+DESCRIPTORS = Path(__file__).resolve().parent.parent / "descriptors"
+FAST_PATH_SPACES = [
+    SP2,
+    SP3,
+    Odometer((), (2, 3)).space,
+    SP12,
+    ProductSpace((3,), (2, 5)),
+    load_system(json.loads((DESCRIPTORS / "bv11.json").read_text())).space,
+    load_system(BV3).space,
+]
+SYMBOLS = st.one_of(st.integers(-2, 13), st.booleans())
+
+
+@st.composite
+def words_over(draw, space, max_depth, wild=True):
+    """A word built level by level, mostly from admissible symbols; with
+    wild, sometimes from out-of-range, negative or bool ones."""
+    word = ()
+    for _ in range(draw(st.integers(0 if wild else 1, max_depth))):
+        options = reference_next_symbols(space, word)
+        if options and (not wild or draw(st.integers(0, 4))):
+            word += (draw(st.sampled_from(options)),)
+        else:
+            word += (draw(SYMBOLS),)
+    return word
+
+
+def checked(check, *args):
+    try:
+        return check(*args)
+    except InadmissibleWordError as exc:
+        return ("rejected", exc.word, exc.junction)
+
+
+def brute_words(space, depth) -> list:
+    """Every admissible word of a depth, by filtering all symbol tuples."""
+    levels = [range(space.size_bound(i)) for i in range(depth)]
+    return [w for w in product(*levels) if reference_admissible(space, w)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_space_fast_paths_match_reference(data):
+    space = data.draw(st.sampled_from(FAST_PATH_SPACES))
+    word = data.draw(words_over(space, 8))
+    assert checked(space.check_word, word) == checked(reference_check_word, space, word)
+    for i in range(len(word) + 1):
+        expected = reference_next_symbols(space, word[:i])
+        if not expected and isinstance(space, ProductSpace):
+            # a product level's alphabet, whatever the symbols before it
+            expected = reference_next_symbols(space, (0,) * i)
+        assert space.next_symbols(word[:i]) == expected
+    depth = len(word) + data.draw(st.integers(-1, 3))
+    assert space.extensions(word, depth) == reference_extensions(space, word, depth)
+
+    depth = data.draw(st.integers(0, 8))
+    while math.prod(space.size_bound(i) for i in range(depth)) > 4096:
+        depth -= 1
+    assert space.words_at_depth(depth) == brute_words(space, depth)
+
+    # a literal of admissible words, mixed depths padded to the deepest
+    words = data.draw(st.lists(words_over(space, 4, wild=False), min_size=1, max_size=4))
+    text = "+".join(space.render_word(w) for w in words)
+    d = max(map(len, words))
+    padded = [u for w in words for u in reference_extensions(space, w, d)]
+    parsed = Clopen.parse(space, text)
+    assert parsed == Clopen.make(space, d, padded)
+    assert parsed.refined_words(d) == set(padded)
