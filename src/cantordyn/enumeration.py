@@ -22,7 +22,7 @@ from .errors import (
     PiecewiseValidationError,
 )
 from .fullgroup import PiecewisePower, _zigzag, membership_gamma
-from .space import Clopen, Point, SpacePresentation
+from .space import Clopen, Point, SpacePresentation, _merge
 from .systems import System
 from .towers import kr_sequence
 
@@ -105,7 +105,7 @@ def clopen_at_index(space: SpacePresentation, n: int) -> Clopen:
         else:
             lo = mid + 1
     words = space.words_at_depth(d)
-    return Clopen.make(space, d, [w for i, w in enumerate(words) if lo >> i & 1])
+    return _merge(space, d, {w for i, w in enumerate(words) if lo >> i & 1})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     RefinementDepthError,
     UnsupportedSystemError,
 )
-from .space import Clopen
+from .space import Clopen, _merge, partition_check, union_all
 from .systems import Odometer, System, invariant_measure
 from .towers import KRPartition, KRSequence
 from .fullgroup import PiecewisePower, TowerPermutation, gamma_element
@@ -197,12 +197,10 @@ def piecewise_merge(
     """
     xi = seq.level(level)
     sys = seq.sys
-    union = Clopen.empty(sys.space)
-    for a_i, h_i in parts:
-        overlap = union.intersection(a_i)
-        if not overlap.is_empty():
-            raise PiecewiseValidationError("parts overlap", witness=overlap)
-        union = union.union(a_i)
+    domains = [a_i for a_i, _ in parts]
+    overlapping, overlap = partition_check(sys.space, domains)
+    # a bad witness on a part before the first overlapping one is reported first
+    for a_i, h_i in parts[:overlapping]:
         h_i.validate_against(xi)
         img_f = f.image_of(a_i)
         img_h = gamma_element(sys, xi, h_i).image_of(a_i)
@@ -210,16 +208,12 @@ def piecewise_merge(
             raise PiecewiseValidationError(
                 "part witness disagrees with f on its part", witness=a_i
             )
-    a_union = union
+    if overlapping is not None:
+        raise PiecewiseValidationError("parts overlap", witness=overlap)
+    a_union = union_all(sys.space, domains)
     f_union = f.image_of(a_union)
     f_inv = f.inverse()
-
-    atom_index = {}
-    for i, j, atom in xi.all_atoms():
-        atom_index[(atom.depth, atom.words)] = (i, j)
-
-    def locate(c: Clopen):
-        return atom_index.get((c.depth, c.words))
+    atom_index = {atom: (i, j) for i, j, atom in xi.all_atoms()}
 
     perms = [list(range(t.height)) for t in xi.towers]
     total_atoms = xi.atom_count()
@@ -254,7 +248,7 @@ def piecewise_merge(
             raise PiecewiseValidationError(
                 "backtracking failed to leave the image region", witness=atom
             )
-        loc = locate(target)
+        loc = atom_index.get(target)
         if loc is None or loc[0] != i:
             raise PiecewiseValidationError(
                 "backtracked image is not an atom of the same tower", witness=atom
@@ -456,7 +450,7 @@ class Stuck:
 
 
 def _values_clopen(sys, depth: int, values) -> Clopen:
-    return Clopen.make(sys.space, depth, [sys.digits(v, depth) for v in values])
+    return _merge(sys.space, depth, {sys.digits(v, depth) for v in values})
 
 
 def _replay(sys1, sys2, rungs):

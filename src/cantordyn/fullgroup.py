@@ -15,7 +15,16 @@ from .errors import (
     RefinementDepthError,
     SpaceMismatchError,
 )
-from .space import Clopen, Point, _check_same_space, _int_list, _is_int
+from .space import (
+    Clopen,
+    Point,
+    _check_same_space,
+    _int_list,
+    _is_int,
+    _merge,
+    partition_check,
+    union_all,
+)
 from .systems import System
 from .towers import KRPartition, KRSequence, StackingMap, atom_at
 
@@ -154,17 +163,6 @@ def _zigzag(k: int) -> int:
     return 2 * k - 1 if k > 0 else -2 * k
 
 
-def _union(space, clopens) -> Clopen:
-    """Union of clopens, each refined once to their deepest depth."""
-    if len(clopens) == 1:
-        return clopens[0]
-    d = max((c.depth for c in clopens), default=0)
-    words = set()
-    for c in clopens:
-        words |= c.refined_words(d)
-    return Clopen.make(space, d, words)
-
-
 def _split(table: tuple[int, dict], a: Clopen) -> tuple[int, dict]:
     """The words of a at depth max(a.depth, top), grouped by power.
 
@@ -180,27 +178,13 @@ def _split(table: tuple[int, dict], a: Clopen) -> tuple[int, dict]:
 
 
 def _check_partition(space, parts, what: str) -> None:
-    """Raise unless the clopens of parts, (clopen, power) pairs, partition space.
-
-    Every part is refined once to the deepest depth among them.  The witness
-    is the first part's overlap with the parts before it, else the uncovered
-    rest of the space.
-    """
-    d = max((c.depth for c, _ in parts), default=0)
-    seen: set = set()
-    for c, k in parts:
-        words = c.refined_words(d)
-        if not seen.isdisjoint(words):
-            raise PiecewiseValidationError(
-                f"{what} overlap near power {k}",
-                witness=Clopen.make(space, d, seen & words),
-            )
-        seen |= words
-    if len(seen) != space.word_count(d):
-        raise PiecewiseValidationError(
-            f"{what} do not cover the space",
-            witness=Clopen.make(space, d, set(space.words_at_depth(d)) - seen),
-        )
+    """Raise unless the clopens of parts, (clopen, power) pairs, partition
+    space; the witness is partition_check's overlap or uncovered rest."""
+    i, witness = partition_check(space, [c for c, _ in parts])
+    if i is not None:
+        raise PiecewiseValidationError(f"{what} overlap near power {parts[i][1]}", witness=witness)
+    if not witness.is_empty():
+        raise PiecewiseValidationError(f"{what} do not cover the space", witness=witness)
 
 
 class PiecewisePower:
@@ -227,7 +211,7 @@ class PiecewisePower:
             by_power.setdefault(int(k), []).append(dom)
         merged = []
         for k in sorted(by_power, key=_zigzag):
-            dom = _union(sys.space, by_power[k])
+            dom = union_all(sys.space, by_power[k])
             if not dom.is_empty():
                 merged.append((dom, k))
         el = PiecewisePower(sys, tuple(merged), _canonical=True)
@@ -271,11 +255,11 @@ class PiecewisePower:
         space = self.sys.space
         d, groups = _split(self._power_table(), a)
         images = [
-            self.sys.image_clopen(Clopen.make(space, d, ws), k)
+            self.sys.image_clopen(_merge(space, d, ws), k)
             for k, ws in groups.items()
             if k is not None
         ]
-        return _union(space, images)
+        return union_all(space, images)
 
     # -- group structure ------------------------------------------------------
 
@@ -296,7 +280,7 @@ class PiecewisePower:
                 continue
             for k, ws in groups.items():
                 if k is not None:
-                    hit = Clopen.make(space, d, ws)
+                    hit = _merge(space, d, ws)
                     pieces.append((self.sys.image_clopen(hit, -l), k + l))
         return PiecewisePower.make(self.sys, pieces, validate=False)
 
@@ -305,7 +289,7 @@ class PiecewisePower:
         return PiecewisePower.make(self.sys, pieces, validate=False)
 
     def support(self) -> Clopen:
-        return _union(self.sys.space, [dom for dom, k in self.pieces if k != 0])
+        return union_all(self.sys.space, [dom for dom, k in self.pieces if k != 0])
 
     def is_identity(self) -> bool:
         return all(k == 0 for _, k in self.pieces)
@@ -347,11 +331,6 @@ class PiecewisePower:
             if not _is_int(k):
                 raise InputFormatError(f"{where}: 'power' must be an integer")
         return PiecewisePower.make(sys, [(Clopen.parse(sys.space, dom), k) for dom, k in raw])
-
-
-def validate_piecewise(sys: System, pieces) -> PiecewisePower:
-    """Normalize and check a raw piece list; raises with a witness clopen."""
-    return PiecewisePower.make(sys, pieces, validate=True)
 
 
 def gamma_element(sys: System, xi: KRPartition, tp: TowerPermutation) -> PiecewisePower:
@@ -500,10 +479,6 @@ def membership_gamma(
 
 # ---------------------------------------------------------------------------
 # sign analysis
-
-
-def sign_vector(tp: TowerPermutation) -> SignVector:
-    return tp.sign_vector()
 
 
 def propagate_signs(sv: SignVector, sm: StackingMap) -> SignVector:

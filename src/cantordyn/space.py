@@ -3,7 +3,8 @@
 A space is presented by a finitely branching admissibility tree: words are
 tuples of symbol indices, one per level, and every admissible word extends.
 Clopens are canonical pairs (depth, set of admissible words at that depth)
-with depth minimal; this makes equality a structural check.
+with depth minimal; this makes equality a structural check.  The n-ary
+union and the partition check below are the folds every layer above uses.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class SpacePresentation(ABC):
     def max_size_bound(self) -> int:
         """Largest alphabet size over all levels."""
 
+    @abstractmethod
     def point_probe(self, head_len: int, tail_len: int) -> int:
         """Depth to expand when validating an eventually periodic point."""
-        return head_len + 2 * tail_len + 8
 
     @abstractmethod
     def check_word(self, word) -> tuple:
@@ -288,6 +289,9 @@ class Clopen:
 
     @staticmethod
     def make(space: SpacePresentation, depth: int, words) -> "Clopen":
+        """Canonical clopen of words from outside the library, each checked
+        for its depth and admissibility; word sets the library builds itself
+        go straight to _merge."""
         ws = set(tuple(w) for w in words)
         for w in ws:
             if len(w) != depth:
@@ -430,6 +434,49 @@ def cylinder(space: SpacePresentation, word) -> Clopen:
     return _merge(space, len(w), {w})
 
 
+def union_all(space: SpacePresentation, clopens) -> Clopen:
+    """Union of a list of clopens over space, each refined once to their
+    deepest depth."""
+    _check_over(space, clopens)
+    if len(clopens) == 1:
+        return clopens[0]
+    d = max((c.depth for c in clopens), default=0)
+    words = set()
+    for c in clopens:
+        words |= c.refined_words(d)
+    return _merge(space, d, words)
+
+
+def partition_check(space: SpacePresentation, clopens) -> tuple[int | None, Clopen]:
+    """Whether a list of clopens partitions space, each refined once to
+    their deepest depth.
+
+    (i, overlap) for the first clopen i that meets the ones before it, with
+    its overlap with their union; else (None, rest) with rest the part of
+    the space no clopen covers, empty for a partition.
+    """
+    _check_over(space, clopens)
+    d = max((c.depth for c in clopens), default=0)
+    seen: set = set()
+    for i, c in enumerate(clopens):
+        words = c.refined_words(d)
+        if not seen.isdisjoint(words):
+            return i, _merge(space, d, seen & words)
+        seen |= words
+    if len(seen) == space.word_count(d):
+        return None, Clopen.empty(space)
+    return None, _merge(space, d, set(space.words_at_depth(d)) - seen)
+
+
+def _check_over(space: SpacePresentation, clopens) -> None:
+    sig = space.signature()
+    for c in clopens:
+        if c.space.signature() != sig:
+            raise SpaceMismatchError(
+                f"operands over different spaces: {c.space.signature()} vs {sig}"
+            )
+
+
 def _merge(space: SpacePresentation, depth: int, ws: set) -> Clopen:
     """Canonical clopen of a set of admissible words of one depth.
 
@@ -447,21 +494,6 @@ def _merge(space: SpacePresentation, depth: int, ws: set) -> Clopen:
         else:
             break
     return Clopen(space, depth, frozenset(ws), _canonical=True)
-
-
-def boolean_op(kind: str, a: Clopen, b: Clopen | None = None) -> Clopen:
-    """Dispatch for union | intersection | complement | difference."""
-    if kind == "complement":
-        return a.complement()
-    if b is None:
-        raise InputFormatError(f"{kind} needs two operands")
-    if kind == "union":
-        return a.union(b)
-    if kind == "intersection":
-        return a.intersection(b)
-    if kind == "difference":
-        return a.difference(b)
-    raise InputFormatError(f"unknown boolean op {kind!r}")
 
 
 def cylinder_at(space: SpacePresentation, n: int) -> Clopen:

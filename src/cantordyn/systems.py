@@ -19,7 +19,7 @@ from .errors import (
     InputFormatError,
     UnsupportedSystemError,
 )
-from .space import Clopen, Point, ProductSpace, SpacePresentation, _int_list, _is_int
+from .space import Clopen, Point, ProductSpace, SpacePresentation, _int_list, _is_int, _merge
 
 
 class System:
@@ -139,8 +139,7 @@ class Odometer(System):
         if d == 0:
             return a
         cap = self.capacity(d)
-        shifted = [self.digits((self.value(w) + k) % cap, d) for w in a.words]
-        return Clopen.make(self.space, d, shifted)
+        return _merge(self.space, d, {self.digits((self.value(w) + k) % cap, d) for w in a.words})
 
     def to_json(self) -> dict:
         return {"odometer": {"prefix": list(self.prefix), "period": list(self.period)}}
@@ -558,7 +557,7 @@ class BVSystem(System):
         final = set()
         for w in out:
             final.update(self.space.extensions(w, out_depth))
-        return Clopen.make(self.space, out_depth, final)
+        return _merge(self.space, out_depth, final)
 
     def image_clopen(self, a: Clopen, k: int) -> Clopen:
         if k == 0 or a.is_empty() or a.is_full():

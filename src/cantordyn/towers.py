@@ -17,7 +17,7 @@ from .errors import (
     StackingMismatchError,
     UnsupportedSystemError,
 )
-from .space import Clopen, Point, cylinder, cylinder_at
+from .space import Clopen, Point, _merge, cylinder, cylinder_at, partition_check, union_all
 from .systems import BVSystem, Odometer, System
 
 
@@ -69,16 +69,10 @@ class KRPartition:
         return max(a.depth for _, _, a in self.all_atoms())
 
     def base_union(self) -> Clopen:
-        out = Clopen.empty(self.space)
-        for t in self.towers:
-            out = out.union(t.base)
-        return out
+        return union_all(self.space, [t.base for t in self.towers])
 
     def top_union(self) -> Clopen:
-        out = Clopen.empty(self.space)
-        for t in self.towers:
-            out = out.union(t.atoms[-1])
-        return out
+        return union_all(self.space, [t.atoms[-1] for t in self.towers])
 
     def floors_inside(self, a: Clopen) -> list[list[int]] | None:
         """Floors of the atoms inside a, per tower; None when a is not an atom union.
@@ -107,16 +101,12 @@ class KRPartition:
 
     def validate(self, sys: System) -> None:
         """Assert the partition and floor-map structure; raises on failure."""
-        depth = self.max_depth()
-        seen = set()
-        total = 0
-        for i, j, a in self.all_atoms():
-            ws = a.refined_words(depth)
-            if seen & ws:
-                raise InputFormatError(f"atoms overlap at tower {i} floor {j}")
-            seen |= ws
-            total += len(ws)
-        if total != sys.space.word_count(depth):
+        atoms = list(self.all_atoms())
+        k, rest = partition_check(sys.space, [a for _, _, a in atoms])
+        if k is not None:
+            i, j, _ = atoms[k]
+            raise InputFormatError(f"atoms overlap at tower {i} floor {j}")
+        if not rest.is_empty():
             raise InputFormatError("atoms do not cover the space")
         for i, t in enumerate(self.towers):
             for j in range(1, t.height):
@@ -192,7 +182,7 @@ def refine_with_clopen(sys: System, xi: KRPartition, a: Clopen) -> KRPartition:
             pattern = tuple(p.contains_word(w) for p in pullbacks)
             classes.setdefault(pattern, []).append(w)
         for pattern in sorted(classes):
-            base = Clopen.make(sys.space, depth, classes[pattern])
+            base = _merge(sys.space, depth, set(classes[pattern]))
             atoms = [base]
             for _ in range(t.height - 1):
                 atoms.append(sys.image_clopen(atoms[-1], 1))
@@ -349,10 +339,7 @@ class KRSequence:
         self._bv_depths.append(L)
         towers = []
         for v in range(d.count_at(L)):
-            atoms = [
-                Clopen.make(sys.space, L, [w]) for w in self._paths_into(L, v)
-            ]
-            towers.append(Tower(atoms))
+            towers.append(Tower([_merge(sys.space, L, {w}) for w in self._paths_into(L, v)]))
         return KRPartition(n, towers, sys.space)
 
     # -- generic first-return fallback ----------------------------------------

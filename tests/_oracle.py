@@ -4,8 +4,9 @@ The brute-force mask oracle for the orbit tests: exhaustive permutation
 sweeps.  The half-mask tables below only speed up applying a permutation to
 a mask — every permutation is still applied to every mask.
 
-Word admissibility by walking next_symbols, and the running-union piecewise
-powers: see the sections at the end.
+Word admissibility by walking next_symbols, the running-union piecewise
+powers and a bitmask model of the clopen algebra: see the sections at the
+end.
 """
 
 from __future__ import annotations
@@ -186,3 +187,59 @@ def reference_extensions(space, word: tuple, depth: int) -> list[tuple]:
     for _ in range(depth - len(word)):
         out = [w + (s,) for w in out for s in space.next_symbols(w)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# bitmask clopen model
+#
+# The clopen algebra of a space at one fixed depth, on integers: bit r of a
+# mask is set when the r-th admissible word of that depth, in lexicographic
+# order, lies in the clopen.  Boolean operations are bit operations and the
+# n-ary folds are loops over masks; clopens come back through the checked
+# Clopen.make.
+
+
+class MaskModel:
+    def __init__(self, space, depth: int):
+        self.space = space
+        self.depth = depth
+        self.words = space.words_at_depth(depth)
+        self.rank = {w: r for r, w in enumerate(self.words)}
+        self.full = (1 << len(self.words)) - 1
+
+    def mask(self, c) -> int:
+        out = 0
+        for w in c.refined_words(self.depth):
+            out |= 1 << self.rank[w]
+        return out
+
+    def clopen(self, mask: int):
+        chosen = [w for r, w in enumerate(self.words) if mask >> r & 1]
+        return Clopen.make(self.space, self.depth, chosen)
+
+    def compare(self, a: int, b: int) -> str:
+        if a == b:
+            return "equal"
+        if not a & ~b:
+            return "subset"
+        if not b & ~a:
+            return "superset"
+        if not a & b:
+            return "disjoint"
+        return "incomparable"
+
+    def union_all(self, masks) -> int:
+        out = 0
+        for m in masks:
+            out |= m
+        return out
+
+    def partition_check(self, masks):
+        """(i, overlap mask) for the first mask meeting the ones before it,
+        else (None, uncovered mask)."""
+        seen = 0
+        for i, m in enumerate(masks):
+            if seen & m:
+                return i, seen & m
+            seen |= m
+        return None, self.full & ~seen

@@ -39,7 +39,6 @@ from cantordyn import (
     piecewise_merge,
     soe_backandforth,
     soe_decide,
-    validate_piecewise,
 )
 from cantordyn.cli import run as cli_run
 from cantordyn.space import cylinder, cylinder_at
@@ -337,7 +336,7 @@ def test_criterion_9_enumeration_contract():
             if e.is_identity():
                 continue
             nonidentity += 1
-            validate_piecewise(o2, list(e.pieces))  # valid homeomorphism
+            PiecewisePower.make(o2, list(e.pieces), validate=True)  # valid homeomorphism
             member = membership_gamma(o2, x0, e).member
             filtered = is_in_gamma(o2, x0, e)
             assert (filtered == e) == member

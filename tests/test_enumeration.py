@@ -3,6 +3,7 @@ element streams built on top of them."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,9 +23,11 @@ from cantordyn import (
     in_commutator,
     is_in_gamma,
     kr_sequence,
+    load_system,
     membership_gamma,
 )
 from cantordyn.errors import CapExceededError, RefinementDepthError
+from test_space import DESCRIPTORS
 
 o2 = Odometer((), (2,))
 o23 = Odometer((), (2, 3))
@@ -99,6 +102,20 @@ def test_tuple_code_round_trip_prefix():
 
 def test_tuple_code_round_trip_alternating():
     coder = TupleCoder(o23)
+    for n in range(600):
+        code = coder.decode(n)
+        assert coder.encode(code.pieces()) == n
+
+
+def test_tuple_code_round_trip_odo3():
+    coder = TupleCoder(Odometer((), (3,)))
+    for n in range(600):
+        code = coder.decode(n)
+        assert coder.encode(code.pieces()) == n
+
+
+def test_tuple_code_round_trip_bv11():
+    coder = TupleCoder(load_system(json.loads((DESCRIPTORS / "bv11.json").read_text())))
     for n in range(600):
         code = coder.decode(n)
         assert coder.encode(code.pieces()) == n

@@ -294,6 +294,23 @@ def test_piecewise_merge_rejects_overlap():
         piecewise_merge(seq, f, [(n0, tp), (n00, tp)], level=2)
 
 
+def test_piecewise_merge_overlap_message_and_witness():
+    seq = kr_sequence(o2, levels=2)
+    xi = seq.level(2)
+    tp = TowerPermutation(2, [[1, 0, 3, 2]])
+    f = gamma_element(o2, xi, tp)
+    n0, n00, n1 = (Clopen.parse(o2.space, lit) for lit in ("0", "00", "1"))
+    with pytest.raises(PiecewiseValidationError, match="^parts overlap$") as exc:
+        piecewise_merge(seq, f, [(n1, tp), (n0, tp), (n00, tp)], level=2)
+    assert exc.value.witness == n00
+    # a bad witness on an earlier part is reported before a later overlap
+    bad = TowerPermutation(2, [[2, 1, 0, 3]])
+    a0 = xi.atom(0, 0)
+    with pytest.raises(PiecewiseValidationError, match="^part witness disagrees") as exc:
+        piecewise_merge(seq, f, [(a0, bad), (n0, tp)], level=2)
+    assert exc.value.witness == a0
+
+
 def test_piecewise_merge_rejects_bad_witness():
     seq = kr_sequence(o2, levels=2)
     xi = seq.level(2)

@@ -33,8 +33,6 @@ from cantordyn import (
     membership_gamma,
     perm_sign,
     propagate_signs,
-    sign_vector,
-    validate_piecewise,
 )
 from cantordyn.errors import InputFormatError, PiecewiseValidationError
 
@@ -131,14 +129,14 @@ def test_validate_piecewise_overlap_witness():
     n0 = Clopen.parse(o2.space, "0")
     n00 = Clopen.parse(o2.space, "00")
     with pytest.raises(PiecewiseValidationError) as exc:
-        validate_piecewise(o2, [(n0, 0), (n00, 1)])
+        PiecewisePower.make(o2, [(n0, 0), (n00, 1)], validate=True)
     assert exc.value.witness == n00
 
 
 def test_validate_piecewise_cover_witness():
     n0 = Clopen.parse(o2.space, "0")
     with pytest.raises(PiecewiseValidationError) as exc:
-        validate_piecewise(o2, [(n0, 0)])
+        PiecewisePower.make(o2, [(n0, 0)], validate=True)
     assert exc.value.witness == Clopen.parse(o2.space, "1")
 
 
@@ -147,7 +145,7 @@ def test_validate_piecewise_image_overlap():
     n0 = Clopen.parse(o2.space, "0")
     n1 = Clopen.parse(o2.space, "1")
     with pytest.raises(PiecewiseValidationError):
-        validate_piecewise(o2, [(n0, 1), (n1, 0)])
+        PiecewisePower.make(o2, [(n0, 1), (n1, 0)], validate=True)
 
 
 def test_swap_element_action():
@@ -403,14 +401,14 @@ def test_members_permute_forward_orbit():
 # ---------------------------------------------------------------- signs
 
 def test_sign_vector_swap():
-    sv = sign_vector(swap_level1(o2))
+    sv = swap_level1(o2).sign_vector()
     assert sv.level == 1 and sv.signs == (-1,)
     assert not sv.all_even()
 
 
 def test_propagate_signs_two_adic():
     seq = kr_sequence(o2, levels=3)
-    sv = sign_vector(swap_level1(o2))
+    sv = swap_level1(o2).sign_vector()
     up = propagate_signs(sv, seq.map(1))
     assert up.level == 2 and up.signs == (1,)
 
@@ -418,7 +416,7 @@ def test_propagate_signs_two_adic():
 def test_propagate_signs_three_adic_stays_odd():
     # odd number of stacked copies keeps the sign alive forever
     seq = kr_sequence(o3, levels=6)
-    sv = sign_vector(TowerPermutation(1, [[1, 0, 2]]))
+    sv = TowerPermutation(1, [[1, 0, 2]]).sign_vector()
     for n in range(1, 6):
         assert sv.signs == (-1,)
         sv = propagate_signs(sv, seq.map(n))
@@ -432,8 +430,8 @@ def test_propagate_matches_embedding():
         for _ in range(10):
             lvl = rng.randint(1, 3)
             tp = random_tower_perm(seq, lvl, rng)
-            direct = sign_vector(embed_level(tp, seq.map(lvl)))
-            propagated = propagate_signs(sign_vector(tp), seq.map(lvl))
+            direct = embed_level(tp, seq.map(lvl)).sign_vector()
+            propagated = propagate_signs(tp.sign_vector(), seq.map(lvl))
             assert direct.signs == propagated.signs
             assert direct.level == propagated.level
 

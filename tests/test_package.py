@@ -1,4 +1,5 @@
-"""Package layout: every module is reachable and no compiled sources are kept."""
+"""Package layout: every module is reachable, no compiled sources are kept,
+and only the space layer constructs clopens through the checked Clopen.make."""
 
 from __future__ import annotations
 
@@ -36,3 +37,16 @@ def test_no_compiled_sources():
         dirs[:] = [d for d in dirs if not d.startswith(".")]
         found += [os.path.join(path, f) for f in files if f.endswith((".pyx", ".c"))]
     assert found == []
+
+
+def test_only_space_calls_the_checked_constructor():
+    # word sets the library builds itself go to space._merge; Clopen.make
+    # checks words that enter from outside
+    pkg = os.path.join(SRC, "cantordyn")
+    callers = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "space.py":
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                if "Clopen.make(" in fh.read():
+                    callers.append(name)
+    assert callers == []

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracle import (
+    MaskModel,
     reference_admissible,
     reference_check_word,
     reference_extensions,
@@ -23,9 +24,10 @@ from cantordyn.space import (
     Clopen,
     Point,
     ProductSpace,
-    boolean_op,
     cylinder,
     cylinder_at,
+    partition_check,
+    union_all,
 )
 from cantordyn.systems import Odometer, load_system
 from test_systems import BV3
@@ -88,14 +90,6 @@ def test_complement_of_depth2_cylinder():
     comp = n00.complement()
     assert comp.depth == 2
     assert comp.word_list() == [(0, 1), (1, 0), (1, 1)]
-
-
-def test_boolean_op_function_mirror():
-    n0, n1 = cylinder(SP2, (0,)), cylinder(SP2, (1,))
-    assert boolean_op("union", n0, n1).is_full()
-    assert boolean_op("intersection", n0, n1).is_empty()
-    assert boolean_op("complement", n0) == n1
-    assert boolean_op("difference", n0, n1) == n0
 
 
 def test_space_mismatch_rejected():
@@ -328,13 +322,14 @@ def test_parse_pads_mixed_depths():
 # -- one-pass admissibility against the reference walk ----------------------------
 
 DESCRIPTORS = Path(__file__).resolve().parent.parent / "descriptors"
+SP_BV11 = load_system(json.loads((DESCRIPTORS / "bv11.json").read_text())).space
 FAST_PATH_SPACES = [
     SP2,
     SP3,
     Odometer((), (2, 3)).space,
     SP12,
     ProductSpace((3,), (2, 5)),
-    load_system(json.loads((DESCRIPTORS / "bv11.json").read_text())).space,
+    SP_BV11,
     load_system(BV3).space,
 ]
 SYMBOLS = st.one_of(st.integers(-2, 13), st.booleans())
@@ -395,3 +390,63 @@ def test_space_fast_paths_match_reference(data):
     parsed = Clopen.parse(space, text)
     assert parsed == Clopen.make(space, d, padded)
     assert parsed.refined_words(d) == set(padded)
+
+
+# -- the clopen algebra against a bitmask model ------------------------------------
+
+MASK_SPACES = [(SP2, 5), (SP3, 3), (SP12, 2), (SP_BV11, 5)]
+
+
+@st.composite
+def mask_clopens(draw, space, max_depth):
+    """A clopen of depth at most max_depth, from a random mask of a depth."""
+    model = MaskModel(space, draw(st.integers(0, max_depth)))
+    return model.clopen(draw(st.integers(0, model.full)))
+
+
+@st.composite
+def mask_families(draw, space, max_depth):
+    """Clopens that partition the space, leave a gap or overlap."""
+    model = MaskModel(space, draw(st.integers(0, max_depth)))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(model.words), max_size=len(model.words)))
+    family = [
+        model.clopen(sum(1 << r for r, lab in enumerate(labels) if lab == i))
+        for i in sorted(set(labels))
+    ]
+    kind = draw(st.sampled_from(["partition", "gapped", "overlapping", "any"]))
+    if kind == "gapped":
+        del family[draw(st.integers(0, len(family) - 1))]
+    elif kind == "overlapping":
+        family.insert(draw(st.integers(0, len(family))), draw(mask_clopens(space, max_depth)))
+    elif kind == "any":
+        family = draw(st.lists(mask_clopens(space, max_depth), max_size=4))
+    return draw(st.permutations(family))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clopen_algebra_matches_bitmask_model(data):
+    space, depth = data.draw(st.sampled_from(MASK_SPACES))
+    model = MaskModel(space, depth)
+    a = data.draw(mask_clopens(space, depth))
+    b = data.draw(mask_clopens(space, depth))
+    ma, mb = model.mask(a), model.mask(b)
+    assert a.union(b) == model.clopen(ma | mb)
+    assert a.intersection(b) == model.clopen(ma & mb)
+    assert a.difference(b) == model.clopen(ma & ~mb)
+    assert a.complement() == model.clopen(model.full ^ ma)
+    assert a.compare(b) == model.compare(ma, mb)
+
+    family = data.draw(mask_families(space, depth))
+    masks = [model.mask(c) for c in family]
+    assert union_all(space, family) == model.clopen(model.union_all(masks))
+    i, witness = partition_check(space, family)
+    j, expected = model.partition_check(masks)
+    assert (i, witness) == (j, model.clopen(expected))
+
+
+def test_folds_reject_other_spaces():
+    with pytest.raises(SpaceMismatchError):
+        union_all(SP2, [cylinder(SP2, (0,)), cylinder(SP3, (0,))])
+    with pytest.raises(SpaceMismatchError):
+        partition_check(SP2, [cylinder(SP3, (0,))])

@@ -124,6 +124,16 @@ def test_validity_examples():
         check_partition_properties(sys_, xi)
 
 
+def test_validate_names_the_first_overlap_and_a_gap():
+    n0, n1, n00 = (Clopen.parse(o2.space, lit) for lit in ("0", "1", "00"))
+    overlapping = KRPartition(1, [Tower([n1]), Tower([n0, n00])], o2.space)
+    with pytest.raises(InputFormatError, match="^atoms overlap at tower 1 floor 1$"):
+        overlapping.validate(o2)
+    gapped = KRPartition(1, [Tower([n00]), Tower([n1])], o2.space)
+    with pytest.raises(InputFormatError, match="^atoms do not cover the space$"):
+        gapped.validate(o2)
+
+
 def test_validity_random_bases():
     rng = random.Random(1009)
     for _ in range(25):
